@@ -103,7 +103,7 @@ def _calc_pencil_rank(path, out):
 ENTRY_ORDER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[lm])(?:\^(?P<exp>\d+))?|(?P<star>\*))"
+    r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z_]\w*)(?:\^(?P<exp>\d+))?|(?P<star>\*))"
 )
 
 
@@ -137,18 +137,25 @@ def parse_form(text):
         elif match.group("num"):
             pending_sign = False
             if term is not None and not expect_factor:
-                raise PencilParseError("two numbers in one term in %r" % text)
-            value = Fraction(match.group("num")) * sign
+                raise PencilParseError("missing '*' before %r in %r" % (match.group("num"), text))
+            try:
+                value = Fraction(match.group("num"))
+            except ZeroDivisionError:
+                raise PencilParseError("zero denominator in %r" % text) from None
             if term is None:
-                term = (value, ParamPoly.const(1))
+                term = (value * sign, ParamPoly.const(1))
             else:
-                term = (term[0] * Fraction(match.group("num")), term[1])
+                term = (term[0] * value, term[1])
             sign = 1
             expect_factor = False
         elif match.group("var"):
             pending_sign = False
-            exp = int(match.group("exp") or 1)
-            factor = ParamPoly.var(match.group("var"), exp)
+            name = match.group("var")
+            if name not in (pencil.LAMBDA, pencil.MU):
+                raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (name, text))
+            if term is not None and not expect_factor:
+                raise PencilParseError("missing '*' before %r in %r" % (name, text))
+            factor = ParamPoly.var(name, int(match.group("exp") or 1))
             if term is None:
                 term = (Fraction(sign), factor)
                 sign = 1
@@ -171,7 +178,7 @@ def load_pencil(path):
     """Read a pencil file: 'degree d' then the 10 upper-triangular entries."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     except OSError as exc:
         raise PencilParseError("cannot read %s: %s" % (path, exc)) from exc
     if not lines or not lines[0].startswith("degree"):

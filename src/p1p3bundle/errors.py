@@ -5,10 +5,6 @@ class ArtifactError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptyBoxError(ArtifactError):
-    """Degenerate search box for the integer identity solver."""
-
-
 class InvalidParameterError(ArtifactError):
     """An argument violates a documented precondition."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import chern, chow, cohom
-from .errors import EmptyBoxError, InconsistentError, InvalidParameterError, SolverError
+from .errors import InconsistentError, InvalidParameterError, SolverError
 from .poly import ParamPoly, solve_zero_identity
 
 # chi(E(a,b)), the Riemann-Roch polynomial the whole Section-5 argument
@@ -67,13 +67,9 @@ def classify_embeddings(e_max):
     for e in range(e_max + 1):
         ring = chow.sigma(e)
         c0, f = ring.gen("C0"), ring.gen("f")
-        for alpha in range(9):
-            for beta in range(9):
-                if alpha != 1 or beta > 2:
-                    continue
-                square = chow.degree((alpha * c0 + beta * f) ** 2).constant()
-                if square == 2:
-                    out.append(EmbeddingSolution(e, alpha, beta))
+        for beta in range(3):
+            if chow.degree((c0 + beta * f) ** 2).constant() == 2:
+                out.append(EmbeddingSolution(e, 1, beta))
     return out
 
 
@@ -117,17 +113,13 @@ def double_structure_identity(e):
 
 
 @lru_cache(maxsize=None)
-def double_structure_solve(e, bound=16):
-    """The unique (x, y, d) making the decomposition match Riemann-Roch."""
-    identity = double_structure_identity(e)
-    try:
-        solutions = solve_zero_identity(identity, ("x", "y", "d"), bound)
-    except EmptyBoxError as exc:
-        raise SolverError("no solution in the box: implementation bug") from exc
-    if len(solutions) > 1:
-        raise SolverError("non-unique solution in the box: implementation bug")
-    s = solutions[0]
-    return DoubleStructureSolution(e, s["x"], s["y"], s["d"])
+def double_structure_solve(e):
+    """The (x, y, d) making the decomposition match Riemann-Roch, unique
+    over Q by elimination; raises SolverError unless it is integral."""
+    (s,) = solve_zero_identity(double_structure_identity(e), ("x", "y", "d"))
+    if any(v.denominator != 1 for v in s.values()):
+        raise SolverError("non-integral solution %s: implementation bug" % s)
+    return DoubleStructureSolution(e, int(s["x"]), int(s["y"]), int(s["d"]))
 
 
 # -- the normal-bundle obstruction --------------------------------------------

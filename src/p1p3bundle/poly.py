@@ -8,10 +8,9 @@ entries).  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .errors import EmptyBoxError, InvalidParameterError, NonInvertibleError
+from .errors import InvalidParameterError, NonInvertibleError, SolverError
 
 # Rational coefficients are plain stdlib Fractions: always in lowest terms,
 # positive denominator, structural equality.
@@ -249,32 +248,38 @@ ZERO = ParamPoly.const(0)
 ONE = ParamPoly.const(1)
 
 
-def solve_zero_identity(identity, unknowns, bound=16):
-    """All integer points of the box at which `identity` vanishes identically.
+def solve_zero_identity(identity, unknowns):
+    """[assignment] of `unknowns` making `identity` vanish, unique over Q.
 
-    The identity is viewed as a polynomial in its free variables (those not
-    listed in `unknowns`); its coefficients are collected and must all vanish
-    simultaneously.  The box is |u| <= bound for every unknown.  Each returned
-    assignment is re-substituted and verified to give the literal zero
-    polynomial.
+    By exact elimination: the coefficients of the identity in its free
+    variables (those not in `unknowns`) must all vanish.  Each round
+    row-reduces the ones of degree <= 1 in the unknowns, fixes every unknown
+    whose pivot row involves no other, and substitutes it everywhere.
+    SolverError if the system is inconsistent, a round fixes nothing
+    (underdetermined or not triangular), or the Fraction-valued solution
+    does not re-substitute to zero.
     """
     unknowns = tuple(unknowns)
-    if bound < 0 or not unknowns:
-        raise EmptyBoxError("degenerate search box")
-    free = [v for v in identity.variables() if v not in unknowns]
-    coeffs = list(identity.collect(free).values())
-    # cheap coefficients first so the scan aborts early on most points
-    coeffs.sort(key=lambda p: len(p.terms))
-    solutions = []
-    for point in itertools.product(range(-bound, bound + 1), repeat=len(unknowns)):
-        assignment = dict(zip(unknowns, point))
-        if all(c.evaluate(assignment) == 0 for c in coeffs):
-            if not identity.subs(assignment).is_zero():
-                continue
-            solutions.append(assignment)
-    if not solutions:
-        raise EmptyBoxError("no solution in the box |u| <= %d" % bound)
-    return solutions
+    equations = identity.collect(set(identity.variables()) - set(unknowns)).values()
+    solution = {}
+    while len(solution) < len(unknowns):
+        open_ = [u for u in unknowns if u not in solution]
+        rows = [[eq.coefficient(((u, 1),)) for u in open_] + [-eq.coefficient(_ONE)]
+                for eq in equations if eq.total_degree() <= 1]
+        _, pivots, reduced = rref(rows)
+        fixed = {}
+        for row, col in zip(reduced, pivots):
+            if col == len(open_):
+                raise SolverError("inconsistent linear equations in %s" % open_)
+            if not any(row[j] for j in range(len(open_)) if j != col):
+                fixed[open_[col]] = row[-1]
+        if not fixed:
+            raise SolverError("cannot fix any of %s: underdetermined or not triangular" % open_)
+        solution.update(fixed)
+        equations = [eq.subs(fixed) for eq in equations]
+    if not identity.subs(solution).is_zero():
+        raise SolverError("re-substituting %s leaves a nonzero remainder" % solution)
+    return [solution]
 
 
 # -- univariate helpers (coefficient-list representation) ---------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -94,8 +95,20 @@ def test_parse_form():
 
 
 def test_parse_form_rejects_garbage():
-    for text in ["l +", "* l", "2 ** m", "x + y", "l^"]:
-        with pytest.raises(PencilParseError):
+    cases = [
+        ("l +", "dangling sign"),
+        ("* l", "misplaced '*'"),
+        ("2 ** m", "misplaced '*'"),
+        ("x + y", "bad variable 'x'"),
+        ("l^", "cannot parse"),
+        ("2l", "missing '*'"),
+        ("l m", "missing '*'"),
+        ("2 l^2", "missing '*'"),
+        ("l2", "bad variable 'l2'"),
+        ("1/0*l", "zero denominator"),
+    ]
+    for text, message in cases:
+        with pytest.raises(PencilParseError, match=re.escape(message)):
             cli.parse_form(text)
 
 
@@ -140,6 +153,27 @@ def test_pencil_file_errors(tmp_path, capsys):
     assert cli.main(["calc", "pencil-rank", str(f)]) == 2
     assert cli.main(["calc", "pencil-rank", str(tmp_path / "missing.txt")]) == 2
     capsys.readouterr()
+
+
+def test_pencil_zero_denominator_exits_2(tmp_path, capsys):
+    f = tmp_path / "zero.txt"
+    _write_pencil(f, "degree 1", ["1/0*l"] + ["0"] * 9)
+    assert cli.main(["calc", "pencil-rank", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: zero denominator")
+    assert captured.out == ""
+
+
+def test_pencil_indented_comment_is_ignored(tmp_path, capsys):
+    f = tmp_path / "pencil.txt"
+    _write_pencil(f, "degree 1", [
+        "2*l + m", "l", "  # an indented note", "0", "0",
+        "3*l + m", "0", "0",
+        "0", "0",
+        "0",
+    ])
+    assert cli.main(["calc", "pencil-rank", str(f)]) == 0
+    assert "generic rank: 2" in capsys.readouterr().out
 
 
 def test_usage_error_exits_2():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from p1p3bundle.errors import EmptyBoxError, NonInvertibleError
+from p1p3bundle.errors import NonInvertibleError, SolverError
 from p1p3bundle.poly import (
     ParamPoly,
     RatFunc,
@@ -68,12 +68,38 @@ def test_solve_zero_identity_unique():
     assert sols == [{"x": 3, "y": -1, "d": 2}]
 
 
-def test_solve_zero_identity_empty_box():
-    a = ParamPoly.var("a")
-    x = ParamPoly.var("x")
-    identity = (x - 20) * a  # root outside |x| <= 16
-    with pytest.raises(EmptyBoxError):
-        solve_zero_identity(identity, ("x",), bound=16)
+def test_solve_zero_identity_has_no_search_box():
+    a, x = ParamPoly.var("a"), ParamPoly.var("x")
+    assert solve_zero_identity((x - 20) * a, ("x",)) == [{"x": 20}]
+
+
+def test_solve_zero_identity_works_over_q():
+    a, x = ParamPoly.var("a"), ParamPoly.var("x")
+    assert solve_zero_identity((2 * x - 1) * a, ("x",)) == [{"x": Fraction(1, 2)}]
+
+
+def test_solve_zero_identity_triangular_needs_two_rounds():
+    a, b = ParamPoly.var("a"), ParamPoly.var("b")
+    x, y = ParamPoly.var("x"), ParamPoly.var("y")
+    # x*y - 6 is nonlinear until x = 3 is substituted
+    identity = (x - 3) * a + (x * y - 6) * b
+    assert solve_zero_identity(identity, ("x", "y")) == [{"x": 3, "y": 2}]
+
+
+_a, _b = ParamPoly.var("a"), ParamPoly.var("b")
+_x, _y = ParamPoly.var("x"), ParamPoly.var("y")
+
+
+@pytest.mark.parametrize("identity, unknowns", [
+    ((_x - 1) * _a + (_x - 2) * _b, ("x",)),  # inconsistent: x = 1 and x = 2
+    ((_x + _y) * _a, ("x", "y")),  # underdetermined: only x + y is pinned
+    ((_x * _x - 4) * _a, ("x",)),  # no equation of degree <= 1
+    # x = 1 is forced, but the coefficient of b re-substitutes to -3
+    ((_x - 1) * _a + (_x * _x - 4) * _b, ("x",)),
+], ids=["inconsistent", "underdetermined", "nonlinear", "resubstitution"])
+def test_solve_zero_identity_rejects(identity, unknowns):
+    with pytest.raises(SolverError):
+        solve_zero_identity(identity, unknowns)
 
 
 def test_univariate_roundtrip():
