@@ -1,54 +1,94 @@
 """Finite-dimensional graded intersection rings.
 
-The five families the computations need: P1, P3, P1xP3, P1xP1 and the
-Hirzebruch surfaces Sigma_e.  Each ring ships a hard-coded multiplication
-table on its monomial basis, the point class, the canonical class and the
-total Chern class of the tangent bundle.  Cycle classes carry ParamPoly
+Every ring is built from one presentation rule: Q[g1, ..., gn], each
+generator of degree 1, modulo one relation g^(top+1) = rewrite for each
+generator.  The rewrite is 0 for P1, P3 and the products P1xP3 and
+P1xP1; on the Hirzebruch surface Sigma_e it is C0^2 = -e C0.f.  Basis
+monomials are keyed by exponent tuples, and the product table is filled
+by adding exponents and applying the rewrites; display names such as
+"h1*h3^2" (and "pt" for C0.f) appear only at the name-based surface.
+Each ring also stores the total Chern class of its tangent bundle and
+the canonical class K = -c1(T).  Cycle classes carry ParamPoly
 coefficients so formal twist parameters flow through unchanged.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
-from .errors import DegreeMismatchError, InvalidParameterError, RingMismatchError
+from .errors import InvalidParameterError, RingMismatchError
 from .poly import ParamPoly
 
 
-class RingSpec:
-    """A graded ring with finite monomial basis and structure constants."""
+def _monomial_name(gens, exps):
+    parts = [g if e == 1 else "%s^%d" % (g, e) for g, e in zip(gens, exps) if e]
+    return "*".join(parts) or "1"
 
-    def __init__(self, name, dimension, basis, degrees, table, point):
+
+class RingSpec:
+    """Q[gens] modulo gens[k]^(tops[k] + 1) = rewrites[k], graded by degree.
+
+    `rewrites` maps a generator index to a {exponent tuple: coefficient}
+    of the same degree (a generator without an entry rewrites to 0), and
+    `names` overrides the display names of some monomials.  The basis is
+    the monomials with exponents up to the tops, ordered by (degree,
+    name); the point class is the monomial of the tops.
+    """
+
+    def __init__(self, name, gens, tops, rewrites=None, names=None):
         self.name = name
-        self.dimension = dimension
-        self.basis = tuple(basis)  # ordered by degree
-        self.degrees = dict(degrees)  # basis monomial -> graded degree
-        self.table = table  # (m1, m2) -> {monomial: Fraction}
-        self.point = point
-        self.canonical = None  # set by the factory
-        self.tangent_chern = None  # set by the factory
+        self.tops = tuple(tops)
+        self.dimension = sum(self.tops)
+        self.rewrites = rewrites or {}
+        self.unit = (0,) * len(self.tops)
+        monomials = list(itertools.product(*(range(t + 1) for t in self.tops)))
+        display = {m: _monomial_name(gens, m) for m in monomials}
+        display.update(names or {})
+        monomials.sort(key=lambda m: (sum(m), display[m]))
+        self.monomials = tuple(monomials)  # basis order, as exponent tuples
+        self.basis = tuple(display[m] for m in monomials)
+        self.index = {display[m]: m for m in monomials}  # display name -> exponents
+        self.point = display[self.tops]
+        self.table = {
+            (m1, m2): self.reduce(tuple(map(add, m1, m2))) for m1 in monomials for m2 in monomials
+        }
+        self.canonical = None  # set with the tangent bundle, see _with_tangent
+        self.tangent_chern = None
+
+    def reduce(self, exps):
+        """The monomial `exps` as {basis exponent tuple: coefficient}."""
+        for k, (e, top) in enumerate(zip(exps, self.tops)):
+            if e > top:
+                rest = exps[:k] + (e - top - 1,) + exps[k + 1:]
+                out = {}
+                for m, c in self.rewrites.get(k, {}).items():
+                    for b, cb in self.reduce(tuple(map(add, rest, m))).items():
+                        out[b] = out.get(b, 0) + c * cb
+                return {b: c for b, c in out.items() if c}
+        return {exps: 1}
 
     def zero(self):
         return GradedClass(self, {})
 
     def one(self):
-        return GradedClass(self, {"1": ParamPoly.const(1)})
+        return GradedClass(self, {self.unit: ParamPoly.const(1)})
+
+    def _exponents(self, name):
+        if name not in self.index:
+            raise InvalidParameterError("%s is not a basis monomial of %s" % (name, self.name))
+        return self.index[name]
 
     def gen(self, name):
-        if name not in self.degrees:
-            raise InvalidParameterError("%s is not a basis monomial of %s" % (name, self.name))
-        return GradedClass(self, {name: ParamPoly.const(1)})
+        return GradedClass(self, {self._exponents(name): ParamPoly.const(1)})
 
     def cls(self, coeffs):
         """Build a class from {basis monomial: coefficient} (ints allowed)."""
         out = {}
         for name, c in coeffs.items():
-            if name not in self.degrees:
-                raise InvalidParameterError("%s is not a basis monomial of %s" % (name, self.name))
-            if not isinstance(c, ParamPoly):
-                c = ParamPoly.const(c)
-            out[name] = c
+            out[self._exponents(name)] = c if isinstance(c, ParamPoly) else ParamPoly.const(c)
         return GradedClass(self, out)
 
     def __repr__(self):
@@ -56,7 +96,7 @@ class RingSpec:
 
 
 class GradedClass:
-    """Element of a RingSpec: basis monomials with ParamPoly coefficients."""
+    """Element of a RingSpec: exponent tuples with ParamPoly coefficients."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -65,18 +105,16 @@ class GradedClass:
         self.coeffs = {m: c for m, c in coeffs.items() if not c.is_zero()}
 
     def coeff(self, name):
-        return self.coeffs.get(name, ParamPoly.const(0))
+        return self.coeffs.get(self.ring.index.get(name), ParamPoly.const(0))
 
     def is_zero(self):
         return not self.coeffs
 
     def graded_part(self, k):
-        return GradedClass(
-            self.ring, {m: c for m, c in self.coeffs.items() if self.ring.degrees[m] == k}
-        )
+        return GradedClass(self.ring, {m: c for m, c in self.coeffs.items() if sum(m) == k})
 
     def is_homogeneous(self, k):
-        return all(self.ring.degrees[m] == k for m in self.coeffs)
+        return all(sum(m) == k for m in self.coeffs)
 
     def _check_ring(self, other):
         if self.ring is not other.ring:
@@ -93,7 +131,7 @@ class GradedClass:
     def __add__(self, other):
         scalar = GradedClass._as_scalar(other)
         if scalar is not None:
-            other = GradedClass(self.ring, {"1": scalar})
+            other = GradedClass(self.ring, {self.ring.unit: scalar})
         elif not isinstance(other, GradedClass):
             return NotImplemented
         self._check_ring(other)
@@ -113,7 +151,7 @@ class GradedClass:
         scalar = GradedClass._as_scalar(other)
         if scalar is None:
             return NotImplemented
-        return self + GradedClass(self.ring, {"1": -scalar})
+        return self + GradedClass(self.ring, {self.ring.unit: -scalar})
 
     def __rsub__(self, other):
         return (-self) + other
@@ -128,8 +166,9 @@ class GradedClass:
         coeffs = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
+                c = c1 * c2
                 for m, f in self.ring.table[(m1, m2)].items():
-                    coeffs[m] = coeffs.get(m, ParamPoly.const(0)) + c1 * c2 * f
+                    coeffs[m] = coeffs.get(m, ParamPoly.const(0)) + (c if f == 1 else c * f)
         return GradedClass(self.ring, coeffs)
 
     __rmul__ = __mul__
@@ -147,7 +186,7 @@ class GradedClass:
             scalar = GradedClass._as_scalar(other)
             if scalar is None:
                 return NotImplemented
-            other = GradedClass(self.ring, {"1": scalar})
+            other = GradedClass(self.ring, {self.ring.unit: scalar})
         return self.ring is other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -157,18 +196,18 @@ class GradedClass:
         if not self.coeffs:
             return "0"
         parts = []
-        for m in self.ring.basis:
+        for m, name in zip(self.ring.monomials, self.ring.basis):
             if m in self.coeffs:
                 c = self.coeffs[m]
                 cs = str(c)
-                if m == "1":
+                if m == self.ring.unit:
                     parts.append(cs)
                 elif cs == "1":
-                    parts.append(m)
+                    parts.append(name)
                 elif len(c.terms) > 1 or "-" in cs or "/" in cs or "*" in cs:
-                    parts.append("(%s)*%s" % (cs, m))
+                    parts.append("(%s)*%s" % (cs, name))
                 else:
-                    parts.append("%s*%s" % (cs, m))
+                    parts.append("%s*%s" % (cs, name))
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -182,89 +221,39 @@ def degree(x):
 # -- ring construction -------------------------------------------------------
 
 
-def _pn_monomial(j):
-    return "1" if j == 0 else ("h" if j == 1 else "h^%d" % j)
+def _with_tangent(ring, tangent_chern):
+    ring.tangent_chern = tangent_chern
+    ring.canonical = -tangent_chern.graded_part(1)
+    return ring
 
 
-def _product_table(names, mul):
-    """names: monomial -> key; mul(key1, key2) -> monomial name or None."""
-    table = {}
-    for m1, k1 in names.items():
-        for m2, k2 in names.items():
-            out = mul(k1, k2)
-            table[(m1, m2)] = {} if out is None else {out: Fraction(1)}
-    return table
+def _projective_product(name, gens, dims):
+    """P^n1 x ... x P^nk: g^(n+1) = 0 and c(T) = prod (1 + g)^(n+1)."""
+    ring = RingSpec(name, gens, dims)
+    tangent = ring.one()
+    for g, n in zip(gens, dims):
+        tangent = tangent * (ring.one() + ring.gen(g)) ** (n + 1)
+    return _with_tangent(ring, tangent)
 
 
 @lru_cache(maxsize=None)
 def p1():
-    names = {"1": 0, "h": 1}
-    table = _product_table(names, lambda a, b: _pn_monomial(a + b) if a + b <= 1 else None)
-    ring = RingSpec("P1", 1, ["1", "h"], {"1": 0, "h": 1}, table, "h")
-    h = ring.gen("h")
-    ring.canonical = -2 * h
-    ring.tangent_chern = ring.one() + 2 * h
-    return ring
+    return _projective_product("P1", ("h",), (1,))
 
 
 @lru_cache(maxsize=None)
 def p3():
-    names = {_pn_monomial(j): j for j in range(4)}
-    table = _product_table(names, lambda a, b: _pn_monomial(a + b) if a + b <= 3 else None)
-    ring = RingSpec("P3", 3, list(names), names, table, "h^3")
-    h = ring.gen("h")
-    ring.canonical = -4 * h
-    ring.tangent_chern = (ring.one() + h) ** 4
-    return ring
-
-
-def _bidegree_name(i, j, g1, g2, jmax):
-    parts = []
-    if i:
-        parts.append(g1)
-    if j:
-        parts.append(g2 if j == 1 else "%s^%d" % (g2, j))
-    return "*".join(parts) or "1"
-
-
-def _product_of_projectives(ring_name, g1, g2, imax, jmax):
-    names = {}
-    for total in range(imax + jmax + 1):
-        for i in range(imax + 1):
-            j = total - i
-            if 0 <= j <= jmax:
-                names[_bidegree_name(i, j, g1, g2, jmax)] = (i, j)
-    # order by degree, then by name for determinism
-    basis = sorted(names, key=lambda m: (sum(names[m]), m))
-    degrees = {m: sum(k) for m, k in names.items()}
-
-    def mul(k1, k2):
-        i, j = k1[0] + k2[0], k1[1] + k2[1]
-        if i > imax or j > jmax:
-            return None
-        return _bidegree_name(i, j, g1, g2, jmax)
-
-    table = _product_table(names, mul)
-    return RingSpec(ring_name, imax + jmax, basis, degrees, table,
-                    _bidegree_name(imax, jmax, g1, g2, jmax))
+    return _projective_product("P3", ("h",), (3,))
 
 
 @lru_cache(maxsize=None)
 def p1xp3():
-    ring = _product_of_projectives("P1xP3", "h1", "h3", 1, 3)
-    h1, h3 = ring.gen("h1"), ring.gen("h3")
-    ring.canonical = -2 * h1 - 4 * h3
-    ring.tangent_chern = (ring.one() + 2 * h1) * (ring.one() + h3) ** 4
-    return ring
+    return _projective_product("P1xP3", ("h1", "h3"), (1, 3))
 
 
 @lru_cache(maxsize=None)
 def p1xp1():
-    ring = _product_of_projectives("P1xP1", "h1", "h2", 1, 1)
-    h1, h2 = ring.gen("h1"), ring.gen("h2")
-    ring.canonical = -2 * h1 - 2 * h2
-    ring.tangent_chern = (ring.one() + 2 * h1) * (ring.one() + 2 * h2)
-    return ring
+    return _projective_product("P1xP1", ("h1", "h2"), (1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -273,50 +262,29 @@ def sigma(e):
     C0.f = pt, f^2 = 0."""
     if not isinstance(e, int) or e < 0:
         raise InvalidParameterError("Hirzebruch invariant e must be a nonnegative integer")
-    basis = ["1", "C0", "f", "pt"]
-    degrees = {"1": 0, "C0": 1, "f": 1, "pt": 2}
-    table = {}
-    for m1 in basis:
-        for m2 in basis:
-            d = degrees[m1] + degrees[m2]
-            if d > 2:
-                out = {}
-            elif m1 == "1":
-                out = {m2: Fraction(1)}
-            elif m2 == "1":
-                out = {m1: Fraction(1)}
-            elif (m1, m2) == ("C0", "C0"):
-                out = {"pt": Fraction(-e)} if e else {}
-            elif {m1, m2} == {"C0", "f"}:
-                out = {"pt": Fraction(1)}
-            else:  # f.f
-                out = {}
-            table[(m1, m2)] = out
-    ring = RingSpec("Sigma(%d)" % e, 2, basis, degrees, table, "pt")
+    ring = RingSpec("Sigma(%d)" % e, ("C0", "f"), (1, 1), {0: {(1, 1): -e}}, {(1, 1): "pt"})
     c0, f = ring.gen("C0"), ring.gen("f")
-    ring.canonical = -2 * c0 - (e + 2) * f
-    # c1(T) = -K, c2(T) = topological Euler number 4
-    ring.tangent_chern = ring.one() + 2 * c0 + (e + 2) * f + 4 * ring.gen("pt")
-    return ring
-
-
-def ring_make(ring_id, e=None):
-    """Factory keyed by name: P1, P3, P1xP3, P1xP1 or Sigma (with e)."""
-    key = ring_id.lower()
-    if key == "p1":
-        return p1()
-    if key == "p3":
-        return p3()
-    if key == "p1xp3":
-        return p1xp3()
-    if key == "p1xp1":
-        return p1xp1()
-    if key == "sigma":
-        return sigma(e)
-    raise InvalidParameterError("unknown ring id %r" % (ring_id,))
+    # c1(T) = -K = 2C0 + (e+2)f, c2(T) = topological Euler number 4
+    return _with_tangent(ring, ring.one() + 2 * c0 + (e + 2) * f + 4 * ring.gen("pt"))
 
 
 # -- restriction maps ---------------------------------------------------------
+
+
+def _ring_map(x, target, images):
+    """Image of x under the ring map sending generator k to generator
+    images[k] of `target`, or to 0 when images[k] is None."""
+    out = {}
+    for m, c in x.coeffs.items():
+        if any(e and images[k] is None for k, e in enumerate(m)):
+            continue
+        exps = list(target.unit)
+        for k, e in enumerate(m):
+            if e:
+                exps[images[k]] += e
+        for b, f in target.reduce(tuple(exps)).items():
+            out[b] = out.get(b, ParamPoly.const(0)) + c * f
+    return GradedClass(target, out)
 
 
 def restrict_fiber(x, which):
@@ -327,21 +295,11 @@ def restrict_fiber(x, which):
     """
     if x.ring is not p1xp3():
         raise RingMismatchError("restrict_fiber expects a class on P1xP3")
-    if which not in ("horizontal", "vertical"):
-        raise InvalidParameterError("which must be 'horizontal' or 'vertical'")
-    ring = p1xp3()
-    index = {m: k for m in ring.basis for k in [_parse_p1xp3(m)]}
-    out = {}
-    for m, c in x.coeffs.items():
-        i, j = index[m]
-        if which == "horizontal":
-            if i == 0:
-                out[_pn_monomial(j)] = c
-        else:
-            if j == 0:
-                out[_pn_monomial(i)] = c
-    target = p3() if which == "horizontal" else p1()
-    return GradedClass(target, out)
+    if which == "horizontal":
+        return _ring_map(x, p3(), (None, 0))
+    if which == "vertical":
+        return _ring_map(x, p1(), (0, None))
+    raise InvalidParameterError("which must be 'horizontal' or 'vertical'")
 
 
 def restrict_to_p1xline(x):
@@ -351,25 +309,4 @@ def restrict_to_p1xline(x):
     """
     if x.ring is not p1xp3():
         raise RingMismatchError("restrict_to_p1xline expects a class on P1xP3")
-    target = p1xp1()
-    out = {}
-    for m, c in x.coeffs.items():
-        i, j = _parse_p1xp3(m)
-        if j <= 1:
-            out[_bidegree_name(i, j, "h1", "h2", 1)] = c
-    return GradedClass(target, out)
-
-
-def _parse_p1xp3(m):
-    if m == "1":
-        return (0, 0)
-    i = 0
-    j = 0
-    for part in m.split("*"):
-        if part == "h1":
-            i = 1
-        elif part == "h3":
-            j = 1
-        elif part.startswith("h3^"):
-            j = int(part[3:])
-    return (i, j)
+    return _ring_map(x, p1xp1(), (0, 1))

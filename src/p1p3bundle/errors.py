@@ -17,10 +17,6 @@ class DegreeMismatchError(ArtifactError):
     """A cycle class has the wrong graded degree."""
 
 
-class UnsupportedRankError(ArtifactError):
-    """Bundle rank outside the range the closed-form calculus supports."""
-
-
 class NonInvertibleError(ArtifactError):
     """Total Chern class cannot be inverted (degree-0 part is not 1)."""
 

@@ -71,23 +71,30 @@ class FinMatGroup:
 
 
 def group_closure(gens, cap=512):
-    """Breadth-first closure of the generated group under multiplication."""
+    """Breadth-first closure of the generated group under multiplication.
+
+    Raises CapExceededError as soon as more than `cap` elements are found.
+    """
     gens = tuple(gens)
     elements = {IDENTITY_PAIR}
-    frontier = sorted(set(gens))
-    for g in frontier:
-        elements.add(g)
-    while frontier:
-        new = set()
-        for g in sorted(frontier):
-            for h in sorted(elements):
-                for prod in (pair_mul(g, h), pair_mul(h, g)):
-                    if prod not in elements and prod not in new:
-                        new.add(prod)
-        elements |= new
-        if len(elements) > cap:
-            raise CapExceededError("group closure exceeded cap %d" % cap)
+    new = []
+
+    def admit(x):
+        if x not in elements:
+            elements.add(x)
+            new.append(x)
+            if len(elements) > cap:
+                raise CapExceededError("group closure exceeded cap %d" % cap)
+
+    for g in sorted(set(gens)):
+        admit(g)
+    while new:
         frontier = sorted(new)
+        new.clear()
+        for g in frontier:
+            for h in sorted(elements):
+                admit(pair_mul(g, h))
+                admit(pair_mul(h, g))
     return FinMatGroup(frozenset(elements), gens)
 
 

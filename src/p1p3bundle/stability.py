@@ -72,15 +72,27 @@ def subsheaf_status(p, q):
     return "unknown"
 
 
+@lru_cache(maxsize=None)
 def destabilizer_corners():
     """Slope-maximal corners of the regions where O(a,b) -> E may be nonzero.
 
     A nonzero map forces a hypersurface of bidegree (2-a, 4-b) through X,
-    so subsheaf_status(2-a, 4-b) must not be 'no'.  The vanishing clauses
-    carve out three regions whose corners these are; slope is strictly
-    increasing in a and b for any positive polarization.
+    so subsheaf_status(2-a, 4-b) must not be 'no'.  The corners are the
+    maximal elements of that set, found column by column from a = 2 down:
+    p >= 0 and q >= 2 give a <= 2 and b <= 2, q >= 8 is always 'yes' so no
+    column's top lies below b = -4, and the scan stops at the first column
+    reaching b = 2 (at the latest a = -2, from the instance (4, 2)).  Slope
+    is strictly increasing in a and b for any positive polarization.
     """
-    return [(1, 1), (-1, 2), (2, -4)]
+    corners = []
+    a, best = 2, -5  # -5: below every column's top
+    while best < 2:
+        b = next(b for b in range(2, -5, -1) if subsheaf_status(2 - a, 4 - b) != "no")
+        if b > best:
+            corners.append((a, b))
+            best = b
+        a -= 1
+    return tuple(corners)
 
 
 def stability_decide(pol):

@@ -1,15 +1,18 @@
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from p1p3bundle import chern, chow
-from p1p3bundle.errors import (
-    DegreeMismatchError,
-    RingMismatchError,
-    UnsupportedRankError,
-)
+from p1p3bundle import chern, chow, cohom
+from p1p3bundle.errors import DegreeMismatchError, RingMismatchError
 from p1p3bundle.poly import ParamPoly
+
+SHIPPED_RINGS = [chow.p1, chow.p3, chow.p1xp3, chow.p1xp1] + [
+    partial(chow.sigma, e) for e in range(6)
+]
 
 
 def test_abelian_surface_bundle_chern_classes():
@@ -55,11 +58,25 @@ def test_twist_rank2_formulas():
     assert t.c2 == 2 * h * h
 
 
-def test_twist_unsupported_rank():
-    ring = chow.p3()
-    b = chern.trivial(ring, 3)
-    with pytest.raises(UnsupportedRankError):
-        chern.twist(b, ring.gen("h"))
+def test_twist_rank3_sum_is_sum_of_twists():
+    ring = chow.p1xp3()
+    h1, h3 = ring.gen("h1"), ring.gen("h3")
+    lines = [chern.line_bundle(c) for c in (h1 - 2 * h3, 3 * h3, -h1 + h3)]
+    m = 2 * h1 - 5 * h3
+    assert chern.twist(chern.direct_sum(*lines), m) == chern.direct_sum(
+        *(chern.twist(line, m) for line in lines)
+    )
+
+
+def test_twist_and_ch_with_formal_rank():
+    # O^r (x) L has c(L)^r = (1 + l)^r and ch = r e^l, for a formal rank r
+    ring = chow.p1xp1()
+    r = ParamPoly.var("r")
+    line = ring.gen("h1") + 2 * ring.gen("h2")
+    t = chern.twist(chern.trivial(ring, r), line)
+    assert t.c1 == r * line
+    assert t.c2 == r * (r - 1) * Fraction(1, 2) * line * line
+    assert chern.chern_character(t) == r * (ring.one() + line + Fraction(1, 2) * line * line)
 
 
 def test_whitney_complement_inverts_direct_sum():
@@ -95,6 +112,99 @@ def test_chern_character_additive_on_sums():
     lhs = chern.chern_character(chern.direct_sum(a, b))
     rhs = chern.chern_character(a) + chern.chern_character(b)
     assert lhs == rhs
+
+
+def _old_todd(ring):
+    """The hand-written Todd classes the universal polynomial replaced."""
+    one = ring.one()
+    if ring.name == "P1":
+        return one + ring.gen("h")
+    if ring.name == "P3":
+        h = ring.gen("h")
+        return one + 2 * h + Fraction(11, 6) * h * h + h ** 3
+    if ring.name == "P1xP3":
+        h1, h3 = ring.gen("h1"), ring.gen("h3")
+        return (one + h1) * (one + 2 * h3 + Fraction(11, 6) * h3 * h3 + h3 ** 3)
+    if ring.name == "P1xP1":
+        return (one + ring.gen("h1")) * (one + ring.gen("h2"))
+    e = int(ring.name[len("Sigma("):-1])
+    return one + ring.gen("C0") + Fraction(e + 2, 2) * ring.gen("f") + ring.gen("pt")
+
+
+@pytest.mark.parametrize("make_ring", SHIPPED_RINGS, ids=lambda make_ring: make_ring().name)
+def test_todd_matches_hand_written_products(make_ring):
+    ring = make_ring()
+    assert chern.todd(ring) == _old_todd(ring)
+
+
+def test_todd_polynomial_matches_root_expansion():
+    # td = prod_i x_i / (1 - e^-x_i) over the Chern roots, to degree 4,
+    # rewritten in c_k = e_k(x) and evaluated on formal tangent classes of a
+    # copy of P1xP3, where c1^4, c1^2c2, c1c3, c2^2 and c4 stay independent
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.polyfuncs import symmetrize
+
+    xs = sympy.symbols("x1:5")
+    t, x = sympy.symbols("t x")
+    q = sympy.series(t * x / (1 - sympy.exp(-t * x)), t, 0, 5).removeO()
+    product = sympy.expand(sympy.prod(q.subs(x, xi) for xi in xs))
+    product = sum(product.coeff(t, k) for k in range(5))
+    sym, rest, defs = symmetrize(product, *xs, formal=True)
+    assert rest == 0
+    cs = sympy.symbols("c1:5")
+    poly = sympy.Poly(sym.subs({s: c for (s, _), c in zip(defs, cs)}), *cs)
+
+    ring = chow.RingSpec("P1xP3 (formal tangent)", ("h1", "h3"), (1, 3))
+    u = [ParamPoly.var("u%d" % k) for k in range(7)]
+    tangent = [
+        u[0] * ring.gen("h1") + u[1] * ring.gen("h3"),
+        u[2] * ring.gen("h1*h3") + u[3] * ring.gen("h3^2"),
+        u[4] * ring.gen("h1*h3^2") + u[5] * ring.gen("h3^3"),
+        u[6] * ring.gen("h1*h3^3"),
+    ]
+    ring.tangent_chern = ring.one() + sum(tangent, ring.zero())
+    expected = ring.zero()
+    for exps, coeff in poly.terms():
+        term = ring.one() * Fraction(int(coeff.p), int(coeff.q))
+        for c, e in zip(tangent, exps):
+            term = term * c ** e
+        expected = expected + term
+    assert chern.todd(ring) == expected
+
+
+def _line_classes(ring):
+    gens = [name for name, m in zip(ring.basis, ring.monomials) if sum(m) == 1]
+    coeffs = st.lists(st.integers(-6, 6), min_size=len(gens), max_size=len(gens))
+    return coeffs.map(lambda cs: ring.cls(dict(zip(gens, cs))))
+
+
+@st.composite
+def _ring_lines_and_twist(draw):
+    ring = draw(st.sampled_from(SHIPPED_RINGS))()
+    lines = draw(st.lists(_line_classes(ring), min_size=1, max_size=4))
+    return ring, [chern.line_bundle(c) for c in lines], draw(_line_classes(ring))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_lines_and_twist())
+def test_calculus_properties_on_every_ring(data):
+    ring, lines, m = data
+    total = chern.direct_sum(*lines)
+    ch_sum = ring.zero()
+    for line in lines:
+        ch_sum = ch_sum + chern.chern_character(line)
+    assert chern.chern_character(total) == ch_sum
+    assert chern.twist(chern.twist(total, m), -m) == total
+    assert chern.twist(total, m) == chern.direct_sum(*(chern.twist(l, m) for l in lines))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7)), min_size=1, max_size=4))
+def test_hrr_of_sums_on_p1xp3_matches_kunneth(bidegrees):
+    ring = chow.p1xp3()
+    lines = [chern.line_bundle(a * ring.gen("h1") + b * ring.gen("h3")) for a, b in bidegrees]
+    chi = chern.euler_characteristic(chern.direct_sum(*lines)).constant()
+    assert chi == sum(cohom.cohom_p1xp3(a, b).chi for a, b in bidegrees)
 
 
 def test_todd_p3():

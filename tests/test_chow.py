@@ -12,7 +12,7 @@ def _basis_classes(ring):
 
 
 @pytest.mark.parametrize("ring", [chow.p1(), chow.p3(), chow.p1xp3(), chow.p1xp1(),
-                                  chow.sigma(0), chow.sigma(2)])
+                                  chow.sigma(0), chow.sigma(2), chow.sigma(5)])
 def test_ring_axioms_exhaustive_on_basis(ring):
     elems = _basis_classes(ring)
     for x, y in itertools.product(elems, repeat=2):
@@ -118,8 +118,30 @@ def test_param_poly_coefficients():
     assert chow.degree(y) == a
 
 
-def test_ring_make_dispatch():
-    assert chow.ring_make("p1xp3") is chow.p1xp3()
-    assert chow.ring_make("sigma", 2).name == chow.sigma(2).name
+@pytest.mark.parametrize("ring, basis", [
+    (chow.p1(), ("1", "h")),
+    (chow.p3(), ("1", "h", "h^2", "h^3")),
+    (chow.p1xp3(), ("1", "h1", "h3", "h1*h3", "h3^2", "h1*h3^2", "h3^3", "h1*h3^3")),
+    (chow.p1xp1(), ("1", "h1", "h2", "h1*h2")),
+    (chow.sigma(3), ("1", "C0", "f", "pt")),
+])
+def test_display_names_and_point(ring, basis):
+    assert ring.basis == basis
+    assert ring.point == basis[-1]
+    assert ring.canonical == -ring.tangent_chern.graded_part(1)
+
+
+def test_sigma_rewrite_rule():
+    s = chow.sigma(4)
+    c0, f = s.gen("C0"), s.gen("f")
+    assert c0 * c0 == -4 * s.gen("pt")
+    assert str(3 * c0 * f - c0 * c0) == "7*pt"
+    assert (c0 * c0 * f).is_zero()
+
+
+def test_unknown_monomial_names():
+    ring = chow.p1xp1()
     with pytest.raises(InvalidParameterError):
-        chow.ring_make("nonsense")
+        ring.gen("h3")
+    with pytest.raises(InvalidParameterError):
+        ring.cls({"h1^2": 1})

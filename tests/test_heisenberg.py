@@ -84,6 +84,31 @@ def test_closure_cap():
         hb.group_closure((shear,), cap=64)
 
 
+def test_closure_cap_is_exact():
+    assert hb.group_closure((hb.SIGMA, hb.TAU), cap=8).order == 8
+    with pytest.raises(CapExceededError):
+        hb.group_closure((hb.SIGMA, hb.TAU), cap=7)
+
+
+@pytest.mark.parametrize("cap", [50, 64])
+def test_closure_stops_once_the_cap_is_passed(monkeypatch, cap):
+    # every element found is the identity, the generator or some product:
+    # the closure must raise right after the product that passed the cap
+    products = []
+    real = hb.pair_mul
+
+    def counting(g, h):
+        products.append(real(g, h))
+        return products[-1]
+
+    monkeypatch.setattr(hb, "pair_mul", counting)
+    shear = (((1, 1), (0, 1)), hb.IDENTITY_PAIR[1])
+    with pytest.raises(CapExceededError):
+        hb.group_closure((shear,), cap=cap)
+    assert len(set(products) | {hb.IDENTITY_PAIR, shear}) == cap + 1
+    assert products[-1] not in products[:-1]
+
+
 def test_finab_normalization():
     assert hb.FinAbGroup((4, 2)).invariants == (2, 4)
     assert hb.FinAbGroup((2, 3)).invariants == (6,)

@@ -56,6 +56,26 @@ def test_destabilizer_corners():
         assert stability.subsheaf_status(2 - a, 4 - b) != "no"
 
 
+def test_destabilizer_corners_come_from_the_oracle(monkeypatch):
+    calls = []
+    real = stability.subsheaf_status
+
+    def counting(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(stability, "subsheaf_status", counting)
+    stability.destabilizer_corners.cache_clear()
+    try:
+        corners = stability.destabilizer_corners()
+        scanned = len(calls)
+        assert stability.destabilizer_corners() is corners  # memoised: no second scan
+    finally:
+        stability.destabilizer_corners.cache_clear()
+    assert scanned > 0 and len(calls) == scanned
+    assert set(corners) == {(1, 1), (-1, 2), (2, -4)}
+
+
 def test_stability_decisions():
     assert stability.stability_decide(stability.Polarization(1, 1)) == "stable"
     assert stability.stability_decide(stability.Polarization(1, 18)) == "semistable_not_stable"
