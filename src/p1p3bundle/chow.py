@@ -105,7 +105,7 @@ class GradedClass:
         self.coeffs = {m: c for m, c in coeffs.items() if not c.is_zero()}
 
     def coeff(self, name):
-        return self.coeffs.get(self.ring.index.get(name), ParamPoly.const(0))
+        return self.coeffs.get(self.ring._exponents(name), ParamPoly.const(0))
 
     def is_zero(self):
         return not self.coeffs

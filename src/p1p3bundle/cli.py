@@ -7,6 +7,7 @@ or parse errors (including unknown claim ids and malformed pencil files).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -102,9 +103,12 @@ def _calc_pencil_rank(path, out):
 # upper-triangular entry order in the input file
 ENTRY_ORDER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
+# ASCII only: \d and \w would also match digits such as '٣'
 _TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z_]\w*)(?:\^(?P<exp>\d+))?|(?P<star>\*))"
+    r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z_]\w*)(?:\^(?P<exp>\d+))?|(?P<star>\*))",
+    re.ASCII,
 )
+_HEADER = re.compile(r"degree\s+(-?\d+)", re.ASCII)
 
 
 def parse_form(text):
@@ -181,12 +185,14 @@ def load_pencil(path):
             lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     except OSError as exc:
         raise PencilParseError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise PencilParseError("%s is not UTF-8 text: %s" % (path, exc)) from exc
     if not lines or not lines[0].startswith("degree"):
         raise PencilParseError("first line must be 'degree d'")
-    parts = lines[0].split()
-    if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+    header = _HEADER.fullmatch(lines[0])
+    if not header:
         raise PencilParseError("malformed degree header %r" % lines[0])
-    degree = int(parts[1])
+    degree = int(header.group(1))
     if degree < 0:
         raise PencilParseError("degree must be nonnegative")
     body = lines[1:]
@@ -206,7 +212,10 @@ def load_pencil(path):
 # -- argument parsing -------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse tree, built once per process (argparse reads sys.stderr
+    only when it prints, so redirecting it between calls still works)."""
     parser = argparse.ArgumentParser(
         prog="p1p3bundle",
         description="Exact verification of the rank-2 bundle computations on P1xP3.",

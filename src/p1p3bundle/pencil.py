@@ -2,16 +2,20 @@
 
 A pencil is a 4x4 symmetric matrix of homogeneous binary forms in (l, m)
 of a common degree d.  Supported analysis: generic rank over the function
-field of the parameter line, pointwise rank, the rank-1 parameter locus
-(distinct projective roots of the gcd of the 2x2 minors, including the
-root at infinity), and the family of singular lines of a rank-2 pencil.
+field of the parameter line (fraction-free Bareiss elimination over Z[l]
+on the chart m = 1, rows cleared of denominators, once per pencil),
+pointwise rank, the rank-1 parameter locus (distinct projective roots of
+the gcd of the 2x2 minors, including the root at infinity), and the
+family of singular lines of a rank-2 pencil (a RatFunc kernel).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     InvalidParameterError,
@@ -21,11 +25,14 @@ from .errors import (
 from .poly import (
     ParamPoly,
     RatFunc,
-    gcd_univariate,
+    _c_gcd,
+    _c_radical,
+    _strip,
+    _z_mul,
+    _z_sub,
+    bareiss_rank,
     matrix_rank_kernel,
     rref,
-    squarefree_univariate,
-    univariate_coeffs,
 )
 
 LAMBDA = "l"
@@ -141,20 +148,37 @@ class QuadricPencil:
 
     # -- rank analysis ------------------------------------------------------
 
+    @cached_property
+    def _z_matrix(self):
+        # The chart m = 1, read from the terms: the coefficient of l^i*m^(d-i)
+        # goes to index i (a nonzero form stays nonzero).  Each row is scaled
+        # by the lcm of its denominators; a nonzero rational row scale keeps
+        # the rank, and the roots and the infinity multiplicity of every 2x2
+        # minor.  (The lcm takes a list: unpacking a generator there made the
+        # peak RSS grow with every pencil on CPython 3.11.)
+        matrix = []
+        for row in self.entries:
+            scale = lcm(*[c.denominator for p in row for c in p.terms.values()])
+            z_row = []
+            for p in row:
+                coeffs = [0] * (p.degree_in(LAMBDA) + 1)
+                for mono, c in p.terms.items():
+                    coeffs[dict(mono).get(LAMBDA, 0)] = c.numerator * (scale // c.denominator)
+                z_row.append(tuple(_strip(coeffs)))
+            matrix.append(tuple(z_row))
+        return tuple(matrix)
+
+    @cached_property
+    def _rank(self):
+        return bareiss_rank(self._z_matrix)
+
     def _function_field_matrix(self):
-        # the chart m = 1 is faithful: a nonzero homogeneous form stays
-        # nonzero after dehomogenizing in m
-        return [
-            [RatFunc.from_poly(p.subs({MU: 1}), LAMBDA) for p in row]
-            for row in self.entries
-        ]
+        return [[RatFunc(LAMBDA, f) for f in row] for row in self._z_matrix]
 
     def generic_rank(self):
-        """Rank of the pencil matrix over the function field of the line."""
-        if self.is_zero():
-            return 0
-        rank, _ = matrix_rank_kernel(self._function_field_matrix())
-        return rank
+        """Rank over the function field of the line, by fraction-free
+        elimination over Z[l] (computed once per pencil)."""
+        return self._rank
 
     def rank_at(self, l0, m0):
         """Exact rank of the quadric at the parameter point (l0, m0)."""
@@ -167,16 +191,6 @@ class QuadricPencil:
         rank, _ = matrix_rank_kernel(rows)
         return rank
 
-    def _minors(self):
-        out = []
-        for (i, j) in combinations(range(4), 2):
-            for (k, l) in combinations(range(4), 2):
-                e = self.entries
-                minor = e[i][k] * e[j][l] - e[i][l] * e[j][k]
-                if not minor.is_zero():
-                    out.append(minor)
-        return out
-
     def rank1_parameter_count(self):
         """Number of parameter points where the rank drops to <= 1.
 
@@ -186,19 +200,22 @@ class QuadricPencil:
         """
         if self.generic_rank() > 2:
             raise RankTooHighError("rank1_parameter_count needs generic rank <= 2")
-        minors = self._minors()
-        if not minors:
-            return WHOLE_LINE
-        degree_2d = 2 * self.degree
+        e = self._z_matrix
         g = None
         inf_mult = None
-        for minor in minors:
-            f = minor.subs({MU: 1})
-            mult = degree_2d - f.degree_in(LAMBDA)
-            inf_mult = mult if inf_mult is None else min(inf_mult, mult)
-            g = f if g is None else gcd_univariate(g, f, LAMBDA)
-        radical = squarefree_univariate(g, LAMBDA)
-        count = len(univariate_coeffs(radical, LAMBDA)) - 1
+        for (i, j) in combinations(range(4), 2):
+            for (k, l) in combinations(range(4), 2):
+                f = _z_sub(_z_mul(e[i][k], e[j][l]), _z_mul(e[i][l], e[j][k]))
+                if not f:
+                    continue
+                # the homogeneous minor has degree 2d; l-degree len(f) - 1
+                mult = 2 * self.degree - (len(f) - 1)
+                inf_mult = mult if inf_mult is None else min(inf_mult, mult)
+                f = [Fraction(c) for c in f]  # _c_gcd divides with '/'
+                g = f if g is None else _c_gcd(g, f)
+        if g is None:
+            return WHOLE_LINE
+        count = len(_c_radical(g)) - 1
         if inf_mult >= 1:
             count += 1
         return count

@@ -2,8 +2,9 @@
 
 Sparse multivariate polynomials in named formal parameters over the
 rationals, a univariate Euclidean gcd, rational functions in one variable,
-and rank/kernel computations over an exact field (Fraction or RatFunc
-entries).  Everything here is immutable and pure.
+rank/kernel computations over an exact field (Fraction or RatFunc
+entries), and fraction-free (Bareiss) rank over Z[x] on integer
+coefficient lists.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -371,16 +372,90 @@ def gcd_univariate(p, q, var):
     return from_coeffs(_c_gcd(a, b), var)
 
 
+def _c_radical(a):
+    """Monic radical (product of distinct irreducible factors) of a."""
+    if len(a) <= 1:
+        return _c_monic(a)
+    da = _strip([i * c for i, c in enumerate(a)][1:])
+    rad, rem = _c_divmod(a, _c_gcd(a, da))
+    assert not rem
+    return _c_monic(rad)
+
+
 def squarefree_univariate(p, var):
     """The radical (product of distinct irreducible factors) of p, monic."""
-    a = univariate_coeffs(p, var)
-    if len(a) <= 1:
-        return from_coeffs(_c_monic(a), var)
-    da = _strip([i * c for i, c in enumerate(a)][1:])
-    g = _c_gcd(a, da)
-    rad, rem = _c_divmod(a, g)
-    assert not rem
-    return from_coeffs(_c_monic(rad), var)
+    return from_coeffs(_c_radical(univariate_coeffs(p, var)), var)
+
+
+# -- fraction-free elimination over Z[x] (integer coefficient lists) -----------
+
+
+def _z_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _strip(out)
+
+
+def _z_sub(a, b):
+    n = max(len(a), len(b))
+    return _strip([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _z_exact_div(a, b):
+    """a / b in Z[x]; InvalidParameterError unless b divides a exactly."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
+    while len(a) >= len(b):
+        f, r = divmod(a[-1], lead)
+        if r:
+            break
+        d = len(a) - len(b)
+        q[d] = f
+        for i, y in enumerate(b):
+            a[d + i] -= f * y
+        a = _strip(a)
+    if a:
+        raise InvalidParameterError("inexact division in Z[x]: %s / %s" % (a, list(b)))
+    return _strip(q)
+
+
+def bareiss_rank(rows):
+    """Rank over Q(x) of a matrix whose entries are integer coefficient lists.
+
+    Fraction-free Bareiss elimination with row pivoting, skipping columns
+    without a pivot: after each step every entry below the pivot rows is a
+    minor of the input, so the division by the previous pivot is exact
+    (checked by `_z_exact_div`).
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    prev = [1]
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pivot, top = m[r][c], m[r]
+        for row in m[r + 1:]:
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = _z_exact_div(_z_sub(_z_mul(pivot, row[j]), _z_mul(f, top[j])), prev)
+            row[c] = []
+        prev = pivot
+        r += 1
+    return r
 
 
 # -- rational functions in one variable ---------------------------------------

@@ -145,3 +145,12 @@ def test_unknown_monomial_names():
         ring.gen("h3")
     with pytest.raises(InvalidParameterError):
         ring.cls({"h1^2": 1})
+
+
+def test_coeff_rejects_misspelt_names():
+    ring = chow.p1xp1()
+    x = ring.gen("h1")
+    for misspelt in ("h3", "h1h2", "h2*h1", ""):
+        with pytest.raises(InvalidParameterError):
+            x.coeff(misspelt)
+    assert x.coeff("h2").is_zero()  # a basis monomial absent from x

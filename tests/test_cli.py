@@ -1,7 +1,11 @@
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from p1p3bundle import cli
 from p1p3bundle.errors import PencilParseError
@@ -178,3 +182,100 @@ def test_pencil_indented_comment_is_ignored(tmp_path, capsys):
 
 def test_usage_error_exits_2():
     assert cli.main(["calc", "chi", "notanint", "0"]) == 2
+
+
+def test_usage_errors_reach_the_current_stderr():
+    # the parser is built once per process; argparse must still print to
+    # whatever sys.stderr is when it reports an error
+    assert cli.build_parser() is cli.build_parser()
+    cases = [
+        (["calc", "chi", "notanint", "0"], "invalid int value: 'notanint'"),
+        (["nosuchcommand"], "invalid choice: 'nosuchcommand'"),
+    ]
+    captured = []
+    for argv, _ in cases:
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert cli.main(argv) == 2
+        captured.append(err.getvalue())
+    assert cases[0][1] in captured[0] and cases[1][1] not in captured[0]
+    assert cases[1][1] in captured[1] and cases[0][1] not in captured[1]
+
+
+def _pencil_exit(path, capsys):
+    code = cli.main(["calc", "pencil-rank", str(path)])
+    return code, capsys.readouterr()
+
+
+def test_pencil_malformed_headers_exit_2(tmp_path, capsys):
+    f = tmp_path / "pencil.txt"
+    # '²'.isdigit() is True, and '--3'.lstrip('-') is '3'
+    for header in ("degree \u00b2", "degree --3", "degreex 1"):
+        _write_pencil(f, header, ["0"] * 10)
+        code, captured = _pencil_exit(f, capsys)
+        assert code == 2
+        assert captured.err.startswith("error: malformed degree header")
+
+
+def test_pencil_invalid_utf8_exits_2(tmp_path, capsys):
+    f = tmp_path / "pencil.txt"
+    f.write_bytes(b"degree 1\n\xff\xfe l\n" + b"0\n" * 9)
+    code, captured = _pencil_exit(f, capsys)
+    assert code == 2
+    assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+
+
+def test_pencil_non_ascii_digits_are_rejected(tmp_path, capsys):
+    for entry in ("\u0663*l", "l^\u0663", "1/\u0663*l"):  # '٣' is an Arabic-Indic 3
+        with pytest.raises(PencilParseError, match="cannot parse"):
+            cli.parse_form(entry)
+    f = tmp_path / "pencil.txt"
+    _write_pencil(f, "degree 1", ["\u0663*l"] + ["0"] * 9)
+    code, captured = _pencil_exit(f, capsys)
+    assert code == 2
+    assert captured.err.startswith("error: cannot parse")
+    _write_pencil(f, "degree \u0661", ["l"] + ["0"] * 9)
+    assert _pencil_exit(f, capsys)[0] == 2
+
+
+# Pencil files drawn from the grammar's alphabet, plus Unicode digits and
+# bytes that are not UTF-8.  Most lines are well formed, so that parsing
+# and the rank analysis are reached; header numbers have at most three
+# characters, so an accepted pencil never has a huge degree.
+_ENTRY_CHARS = "lm0123456789/+-*^ #x\u0663\u00b2"
+_FORMS = ["0", "l", "m", "2*l - m", "1/2*l", "-3/4*m", "l + m"]
+_HEADERS = ["degree 1"] * 5 + ["degree 2", "degree", "degree 1 1", "deg 1", "# note"]
+_BAD_BYTES = [b""] * 4 + [b"\xff", b"\xc3\x28", b"\xed\xa0\x80"]
+
+
+@st.composite
+def _pencil_files(draw):
+    header = draw(st.sampled_from(_HEADERS + [None]))
+    if header is None:
+        header = "degree " + draw(st.text(alphabet="0123456789- \u0663\u00b2", max_size=3))
+    lines = [header]
+    for _ in range(draw(st.sampled_from([10] * 6 + [9, 11]))):
+        form = draw(st.sampled_from(_FORMS * 3 + [None]))
+        lines.append(form if form is not None else draw(st.text(alphabet=_ENTRY_CHARS, max_size=10)))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.sampled_from(_BAD_BYTES)) + data[at:]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_pencil_files())
+def test_load_pencil_fuzz(tmp_path, data):
+    f = tmp_path / "fuzz.txt"
+    f.write_bytes(data)
+    try:
+        cli.load_pencil(str(f))
+        accepted = True
+    except PencilParseError:
+        accepted = False
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["calc", "pencil-rank", str(f)])
+    if accepted:
+        assert code == 0 and out.getvalue().startswith("degree: ") and not err.getvalue()
+    else:
+        assert code == 2 and err.getvalue().startswith("error: ") and not out.getvalue()

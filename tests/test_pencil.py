@@ -1,14 +1,24 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from p1p3bundle import pencil
 from p1p3bundle.errors import (
     InvalidParameterError,
     RankMismatchError,
     RankTooHighError,
 )
 from p1p3bundle.pencil import WHOLE_LINE, QuadricPencil, WholeLine
-from p1p3bundle.poly import ParamPoly, RatFunc
+from p1p3bundle.poly import (
+    ParamPoly,
+    RatFunc,
+    gcd_univariate,
+    matrix_rank_kernel,
+    squarefree_univariate,
+    univariate_coeffs,
+)
 
 L = ParamPoly.var("l")
 M = ParamPoly.var("m")
@@ -147,3 +157,83 @@ def test_constant_squared_diagonal():
     p = QuadricPencil(entries)
     line, constant = p.singular_line_family()
     assert constant
+
+
+def test_rank_is_computed_once_per_pencil(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    real = pencil.bareiss_rank
+    monkeypatch.setattr(pencil, "bareiss_rank", counting)
+    p = QuadricPencil.degree4_witness()
+    assert p.generic_rank() == 2
+    assert p.rank1_parameter_count() == 4
+    p.singular_line_family()
+    assert p.generic_rank() == 2
+    assert len(calls) == 1
+
+
+# The RatFunc route this module used before fraction-free elimination, kept
+# here as the reference: generic rank from the function-field matrix, and
+# the rank-1 count from ParamPoly minors and gcd_univariate.
+
+def _reference_generic_rank(p):
+    rows = [[RatFunc.from_poly(e.subs({"m": 1}), "l") for e in row] for row in p.entries]
+    rank, _ = matrix_rank_kernel(rows)
+    return rank
+
+
+def _reference_rank1_count(p):
+    e = p.entries
+    minors = [e[i][k] * e[j][n] - e[i][n] * e[j][k]
+              for (i, j) in combinations(range(4), 2) for (k, n) in combinations(range(4), 2)]
+    minors = [f.subs({"m": 1}) for f in minors if not f.is_zero()]
+    if not minors:
+        return WHOLE_LINE
+    inf_mult = min(2 * p.degree - f.degree_in("l") for f in minors)
+    g = minors[0]
+    for f in minors[1:]:
+        g = gcd_univariate(g, f, "l")
+    count = len(univariate_coeffs(squarefree_univariate(g, "l"), "l")) - 1
+    return count + (inf_mult >= 1)
+
+
+def _random_form(rng, degree):
+    return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * L ** i * M ** (degree - i)
+                for i in range(degree + 1)), ParamPoly.const(0))
+
+
+def _random_pencil(rng):
+    """sum_k s_k v_k v_k^T with 1-4 terms, mostly 2; each v_k is constant
+    or linear."""
+    degree = rng.randint(1, 4)
+    entries = [[ParamPoly.const(0)] * 4 for _ in range(4)]
+    for _ in range(rng.choice((1, 2, 2, 2, 3, 4))):
+        if degree >= 2 and rng.random() < 0.5:
+            v = [rng.randint(-2, 2) * L + rng.randint(-2, 2) * M for _ in range(4)]
+            s = _random_form(rng, degree - 2)
+        else:
+            v = [ParamPoly.const(rng.randint(-2, 2)) for _ in range(4)]
+            s = _random_form(rng, degree)
+        for i in range(4):
+            for j in range(4):
+                entries[i][j] = entries[i][j] + s * v[i] * v[j]
+    return QuadricPencil(entries, degree=degree)
+
+
+def test_rank_and_rank1_count_match_the_ratfunc_reference():
+    rng = random.Random(4)
+    pencils = [QuadricPencil.degree4_witness(), QuadricPencil.rank2_normal_form(2, 1, 3),
+               QuadricPencil([[0] * 4 for _ in range(4)], degree=3)]
+    pencils += [_random_pencil(rng) for _ in range(40)]
+    seen = set()
+    for p in pencils:
+        rank = p.generic_rank()
+        assert rank == _reference_generic_rank(p)
+        seen.add(rank)
+        if rank <= 2:
+            assert p.rank1_parameter_count() == _reference_rank1_count(p)
+    assert seen == {0, 1, 2, 3, 4}

@@ -1,11 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from p1p3bundle.errors import NonInvertibleError, SolverError
+from p1p3bundle.errors import InvalidParameterError, NonInvertibleError, SolverError
 from p1p3bundle.poly import (
     ParamPoly,
     RatFunc,
+    _z_exact_div,
+    bareiss_rank,
     from_coeffs,
     gcd_univariate,
     matrix_rank_kernel,
@@ -170,3 +174,80 @@ def test_kernel_over_function_field():
         for j in range(2):
             s = s + row[j] * v[j]
         assert not s
+
+
+# -- fraction-free rank over Z[x] -------------------------------------------------
+
+
+def _list_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _list_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _list_trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+@st.composite
+def _z_matrices(draw):
+    """1-4 x 1-4 matrices over Z[x] built as sums of 0-4 rank-one products
+    u.v^T, so deficient ranks, zero rows and zero columns all occur."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    poly = st.lists(st.integers(-3, 3), max_size=3)
+    matrix = [[[] for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 4))):
+        u = draw(st.lists(poly, min_size=nrows, max_size=nrows))
+        v = draw(st.lists(poly, min_size=ncols, max_size=ncols))
+        for i in range(nrows):
+            for j in range(ncols):
+                matrix[i][j] = _list_add(matrix[i][j], _list_mul(u[i], v[j]))
+    return [[_list_trim(e) for e in row] for row in matrix]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_z_matrices())
+def test_bareiss_rank_matches_ratfunc_rank(matrix):
+    expected, _ = matrix_rank_kernel([[RatFunc("x", e) for e in row] for row in matrix])
+    assert bareiss_rank(matrix) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(_z_matrices())
+def test_bareiss_rank_matches_sympy(matrix):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rows = [[sum(c * x ** k for k, c in enumerate(e)) for e in row] for row in matrix]
+    assert bareiss_rank(matrix) == sympy.Matrix(rows).rank()
+
+
+def test_bareiss_rank_does_not_touch_its_input():
+    matrix = [[[0, 1], [1]], [[0, 0, 1], [0, 1]]]
+    copy = [[list(e) for e in row] for row in matrix]
+    assert bareiss_rank(matrix) == 1
+    assert matrix == copy
+    assert bareiss_rank([]) == 0
+    assert bareiss_rank([[[], []]]) == 0
+
+
+def test_exact_division_raises_on_a_remainder():
+    assert _z_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+    assert _z_exact_div([], [3]) == []
+    with pytest.raises(InvalidParameterError, match="inexact division"):
+        _z_exact_div([1, 0, 1], [1, 1])  # (x^2 + 1) / (x + 1)
+    with pytest.raises(InvalidParameterError, match="inexact division"):
+        _z_exact_div([3], [2])  # never truncated to 1
+    with pytest.raises(InvalidParameterError, match="inexact division"):
+        _z_exact_div([1], [0, 1])
+    with pytest.raises(ZeroDivisionError):
+        _z_exact_div([1], [])
