@@ -110,6 +110,21 @@ _TOKEN = re.compile(
 )
 _HEADER = re.compile(r"degree\s+(-?\d+)", re.ASCII)
 
+# The largest degree a pencil file may declare.  Entries are homogeneous of
+# this degree, so no coefficient list of the rank analysis (4x4 minors have
+# degree 4d) is longer than 4 * MAX_DEGREE + 1.
+MAX_DEGREE = 100
+
+
+def _number(convert, digits):
+    """convert(digits) for a token of ASCII digits.  CPython refuses to
+    convert more than sys.get_int_max_str_digits() digits (4300 by default)
+    with a ValueError, the only one such a token can raise."""
+    try:
+        return convert(digits)
+    except ValueError:
+        raise PencilParseError("number of %d characters is too long" % len(digits)) from None
+
 
 def parse_form(text):
     """Parse a polynomial in l, m like '3*l^2*m - 1/2*m^3' into a ParamPoly."""
@@ -143,7 +158,7 @@ def parse_form(text):
             if term is not None and not expect_factor:
                 raise PencilParseError("missing '*' before %r in %r" % (match.group("num"), text))
             try:
-                value = Fraction(match.group("num"))
+                value = _number(Fraction, match.group("num"))
             except ZeroDivisionError:
                 raise PencilParseError("zero denominator in %r" % text) from None
             if term is None:
@@ -159,7 +174,7 @@ def parse_form(text):
                 raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (name, text))
             if term is not None and not expect_factor:
                 raise PencilParseError("missing '*' before %r in %r" % (name, text))
-            factor = ParamPoly.var(name, int(match.group("exp") or 1))
+            factor = ParamPoly.var(name, _number(int, match.group("exp") or "1"))
             if term is None:
                 term = (Fraction(sign), factor)
                 sign = 1
@@ -179,7 +194,8 @@ def parse_form(text):
 
 
 def load_pencil(path):
-    """Read a pencil file: 'degree d' then the 10 upper-triangular entries."""
+    """Read a pencil file: 'degree d' (0 <= d <= MAX_DEGREE) then the 10
+    upper-triangular entries."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
@@ -192,9 +208,11 @@ def load_pencil(path):
     header = _HEADER.fullmatch(lines[0])
     if not header:
         raise PencilParseError("malformed degree header %r" % lines[0])
-    degree = int(header.group(1))
+    degree = _number(int, header.group(1))
     if degree < 0:
         raise PencilParseError("degree must be nonnegative")
+    if degree > MAX_DEGREE:
+        raise PencilParseError("degree %d is above the cap of %d" % (degree, MAX_DEGREE))
     body = lines[1:]
     if len(body) != 10:
         raise PencilParseError("expected 10 entry lines, got %d" % len(body))

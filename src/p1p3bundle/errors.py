@@ -17,10 +17,6 @@ class DegreeMismatchError(ArtifactError):
     """A cycle class has the wrong graded degree."""
 
 
-class NonInvertibleError(ArtifactError):
-    """Total Chern class cannot be inverted (degree-0 part is not 1)."""
-
-
 class CapExceededError(ArtifactError):
     """Group closure did not terminate within the element cap."""
 

@@ -1,12 +1,14 @@
 """Rational pencils of quadrics in P3.
 
 A pencil is a 4x4 symmetric matrix of homogeneous binary forms in (l, m)
-of a common degree d.  Supported analysis: generic rank over the function
-field of the parameter line (fraction-free Bareiss elimination over Z[l]
-on the chart m = 1, rows cleared of denominators, once per pencil),
-pointwise rank, the rank-1 parameter locus (distinct projective roots of
-the gcd of the 2x2 minors, including the root at infinity), and the
-family of singular lines of a rank-2 pencil (a RatFunc kernel).
+of a common degree d.  Everything is computed from one integer matrix per
+pencil (the chart m = 1, rows cleared of denominators) and its 36 integer
+2x2 minors: the generic rank over the function field of the parameter
+line (fraction-free Bareiss elimination over Z[l]), the pointwise rank
+(the same elimination on the matrix evaluated at the point), the rank-1
+parameter locus (distinct projective roots of the gcd of the minors,
+including the root at infinity), and the family of singular lines of a
+rank-2 pencil (Plücker coordinates, the Hodge dual of a row pair's minors).
 """
 
 from __future__ import annotations
@@ -22,21 +24,17 @@ from .errors import (
     RankMismatchError,
     RankTooHighError,
 )
-from .poly import (
-    ParamPoly,
-    RatFunc,
-    _c_gcd,
-    _c_radical,
-    _strip,
-    _z_mul,
-    _z_sub,
-    bareiss_rank,
-    matrix_rank_kernel,
-    rref,
-)
+from .poly import ParamPoly, _c_gcd, _c_radical, _strip, _z_mul, _z_sub, bareiss_rank
 
 LAMBDA = "l"
 MU = "m"
+
+# Index pairs a < b of the 2x2 minors and of Plücker coordinates.  The
+# complement of PAIRS[k] is PAIRS[5 - k]; _HODGE_SIGNS[k] is the sign of the
+# permutation (a, b, c, d) that lists PAIRS[k] and then its complement.
+PAIRS = tuple(combinations(range(4), 2))
+_HODGE_SIGNS = tuple((-1) ** sum(x > y for x, y in combinations(ab + cd, 2))
+                     for ab, cd in zip(PAIRS, reversed(PAIRS)))
 
 
 class WholeLine:
@@ -153,9 +151,9 @@ class QuadricPencil:
         # The chart m = 1, read from the terms: the coefficient of l^i*m^(d-i)
         # goes to index i (a nonzero form stays nonzero).  Each row is scaled
         # by the lcm of its denominators; a nonzero rational row scale keeps
-        # the rank, and the roots and the infinity multiplicity of every 2x2
-        # minor.  (The lcm takes a list: unpacking a generator there made the
-        # peak RSS grow with every pencil on CPython 3.11.)
+        # the rank, the kernel, and the roots and the infinity multiplicity
+        # of every 2x2 minor.  (The lcm takes a list: unpacking a generator
+        # there made the peak RSS grow with every pencil on CPython 3.11.)
         matrix = []
         for row in self.entries:
             scale = lcm(*[c.denominator for p in row for c in p.terms.values()])
@@ -172,8 +170,15 @@ class QuadricPencil:
     def _rank(self):
         return bareiss_rank(self._z_matrix)
 
-    def _function_field_matrix(self):
-        return [[RatFunc(LAMBDA, f) for f in row] for row in self._z_matrix]
+    @cached_property
+    def _minors(self):
+        # minors[I][J]: the 2x2 minor on rows PAIRS[I] and columns PAIRS[J]
+        e = self._z_matrix
+        return tuple(
+            tuple(tuple(_z_sub(_z_mul(e[i][k], e[j][n]), _z_mul(e[i][n], e[j][k])))
+                  for (k, n) in PAIRS)
+            for (i, j) in PAIRS
+        )
 
     def generic_rank(self):
         """Rank over the function field of the line, by fraction-free
@@ -181,15 +186,22 @@ class QuadricPencil:
         return self._rank
 
     def rank_at(self, l0, m0):
-        """Exact rank of the quadric at the parameter point (l0, m0)."""
+        """Exact rank of the quadric at the parameter point (l0, m0).
+
+        The point is scaled by the lcm of its denominators to integers
+        (a, b), the same projective point; each integer entry sum c_i l^i is
+        read as the form sum c_i a^i b^(d-i), and the constant matrix goes
+        to `bareiss_rank`.
+        """
         if l0 == 0 and m0 == 0:
             raise InvalidParameterError("(0, 0) is not a point of the parameter line")
-        rows = [
-            [Fraction(p.subs({LAMBDA: Fraction(l0), MU: Fraction(m0)}).constant()) for p in row]
-            for row in self.entries
-        ]
-        rank, _ = matrix_rank_kernel(rows)
-        return rank
+        l0, m0 = Fraction(l0), Fraction(m0)
+        scale = lcm(l0.denominator, m0.denominator)
+        a, b = int(l0 * scale), int(m0 * scale)
+        d = self.degree
+        rows = [[_strip([sum(c * a ** i * b ** (d - i) for i, c in enumerate(f))]) for f in row]
+                for row in self._z_matrix]
+        return bareiss_rank(rows)
 
     def rank1_parameter_count(self):
         """Number of parameter points where the rank drops to <= 1.
@@ -200,19 +212,14 @@ class QuadricPencil:
         """
         if self.generic_rank() > 2:
             raise RankTooHighError("rank1_parameter_count needs generic rank <= 2")
-        e = self._z_matrix
         g = None
         inf_mult = None
-        for (i, j) in combinations(range(4), 2):
-            for (k, l) in combinations(range(4), 2):
-                f = _z_sub(_z_mul(e[i][k], e[j][l]), _z_mul(e[i][l], e[j][k]))
-                if not f:
-                    continue
-                # the homogeneous minor has degree 2d; l-degree len(f) - 1
-                mult = 2 * self.degree - (len(f) - 1)
-                inf_mult = mult if inf_mult is None else min(inf_mult, mult)
-                f = [Fraction(c) for c in f]  # _c_gcd divides with '/'
-                g = f if g is None else _c_gcd(g, f)
+        for f in [f for row in self._minors for f in row if f]:
+            # the homogeneous minor has degree 2d; l-degree len(f) - 1
+            mult = 2 * self.degree - (len(f) - 1)
+            inf_mult = mult if inf_mult is None else min(inf_mult, mult)
+            f = [Fraction(c) for c in f]  # _c_gcd divides with '/'
+            g = f if g is None else _c_gcd(g, f)
         if g is None:
             return WHOLE_LINE
         count = len(_c_radical(g)) - 1
@@ -223,23 +230,27 @@ class QuadricPencil:
     def singular_line_family(self):
         """(SingularLine, constant) for a pencil of generic rank 2.
 
-        The kernel of the matrix over the function field is 2-dimensional;
-        constant is True iff its reduced row-echelon basis does not involve
-        the parameter, i.e. all quadrics share the same singular line.
+        The row space over the function field is spanned by any row pair
+        with a nonzero minor, and its Plücker coordinates are that pair's
+        six minors p.  The kernel, the singular line, is its orthogonal
+        complement, with the Hodge dual coordinates q_ab = sign(a,b,c,d) p_cd
+        (Hodge-Pedoe, Methods of Algebraic Geometry I, ch. VII).  constant
+        is True iff the nonzero q_ab are rational multiples of one another,
+        i.e. all quadrics share the same singular line.
         """
         if self.generic_rank() != 2:
             raise RankMismatchError("singular_line_family needs generic rank 2")
-        matrix = self._function_field_matrix()
-        _, kernel = matrix_rank_kernel(matrix)
-        one = RatFunc.const(1, LAMBDA)
-        kernel = [[one * x for x in v] for v in kernel]
-        _, _, reduced = rref(kernel)
-        constant = all(isinstance(x, int) or x.is_constant() for row in reduced for x in row)
-        return SingularLine(tuple(tuple(r) for r in reduced)), constant
+        p = next(row for row in self._minors if any(row))
+        q = tuple(tuple(x * sign for x in f) for sign, f in zip(_HODGE_SIGNS, reversed(p)))
+        ref = next(f for f in q if f)
+        # f and ref are proportional over Q iff f*lead(ref) == ref*lead(f)
+        constant = all([c * ref[-1] for c in f] == [c * f[-1] for c in ref] for f in q if f)
+        return SingularLine(q), constant
 
 
 @dataclass(frozen=True)
 class SingularLine:
-    """Two independent vectors over the function field spanning the line."""
+    """Plücker coordinates q_ab of the line, in `PAIRS` order, each an
+    integer coefficient list in l (lowest degree first) on the chart m = 1."""
 
-    basis: tuple
+    plucker: tuple

@@ -1,17 +1,17 @@
 """Exact-arithmetic foundation.
 
 Sparse multivariate polynomials in named formal parameters over the
-rationals, a univariate Euclidean gcd, rational functions in one variable,
-rank/kernel computations over an exact field (Fraction or RatFunc
-entries), and fraction-free (Bareiss) rank over Z[x] on integer
-coefficient lists.  Everything here is immutable and pure.
+rationals, a univariate Euclidean gcd and radical on Fraction coefficient
+lists, rank by fraction-free (Bareiss) elimination over Z[x] on integer
+coefficient lists, and reduced row echelon form over Q.  Everything here
+is immutable and pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidParameterError, NonInvertibleError, SolverError
+from .errors import InvalidParameterError, SolverError
 
 # Rational coefficients are plain stdlib Fractions: always in lowest terms,
 # positive denominator, structural equality.
@@ -283,29 +283,7 @@ def solve_zero_identity(identity, unknowns):
     return [solution]
 
 
-# -- univariate helpers (coefficient-list representation) ---------------------
-
-
-def univariate_coeffs(p, var):
-    """Coefficient list c0..cn of a polynomial univariate in `var`."""
-    extra = [v for v in p.variables() if v != var]
-    if extra:
-        raise InvalidParameterError(
-            "polynomial is not univariate in %s: extra variables %s" % (var, extra)
-        )
-    coeffs = [Fraction(0)] * (p.degree_in(var) + 1)
-    for mono, c in p.terms.items():
-        e = mono[0][1] if mono else 0
-        coeffs[e] = c
-    return _strip(coeffs)
-
-
-def from_coeffs(coeffs, var):
-    terms = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            terms[((var, e),) if e else _ONE] = Fraction(c)
-    return ParamPoly(terms)
+# -- univariate gcd over Q (Fraction coefficient lists, lowest degree first) ----
 
 
 def _strip(coeffs):
@@ -313,23 +291,6 @@ def _strip(coeffs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
-
-
-def _c_add(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _strip([x + y for x, y in zip(a, b)])
-
-
-def _c_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _strip(out)
 
 
 def _c_divmod(a, b):
@@ -365,13 +326,6 @@ def _c_gcd(a, b):
     return _c_monic(a)
 
 
-def gcd_univariate(p, q, var):
-    """Monic gcd of two polynomials univariate in `var`; gcd(p, 0) = monic p."""
-    a = univariate_coeffs(p, var)
-    b = univariate_coeffs(q, var)
-    return from_coeffs(_c_gcd(a, b), var)
-
-
 def _c_radical(a):
     """Monic radical (product of distinct irreducible factors) of a."""
     if len(a) <= 1:
@@ -380,11 +334,6 @@ def _c_radical(a):
     rad, rem = _c_divmod(a, _c_gcd(a, da))
     assert not rem
     return _c_monic(rad)
-
-
-def squarefree_univariate(p, var):
-    """The radical (product of distinct irreducible factors) of p, monic."""
-    return from_coeffs(_c_radical(univariate_coeffs(p, var)), var)
 
 
 # -- fraction-free elimination over Z[x] (integer coefficient lists) -----------
@@ -458,147 +407,14 @@ def bareiss_rank(rows):
     return r
 
 
-# -- rational functions in one variable ---------------------------------------
-
-
-class RatFunc:
-    """Rational function in one named variable, stored as num/den coefficient
-    lists in lowest terms with a monic denominator."""
-
-    __slots__ = ("var", "num", "den")
-
-    def __init__(self, var, num, den=(Fraction(1),)):
-        num = _strip([Fraction(c) for c in num])
-        den = _strip([Fraction(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = _c_gcd(num, den)
-            if len(g) > 1:
-                num, _ = _c_divmod(num, g)
-                den, _ = _c_divmod(den, g)
-        else:
-            den = [Fraction(1)]
-        lead = den[-1]
-        self.var = var
-        self.num = tuple(x / lead for x in num)
-        self.den = tuple(x / lead for x in den)
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def from_poly(p, var):
-        return RatFunc(var, univariate_coeffs(p, var))
-
-    @staticmethod
-    def const(value, var):
-        return RatFunc(var, [Fraction(value)])
-
-    @staticmethod
-    def x(var):
-        return RatFunc(var, [0, 1])
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(other, self.var)
-        if isinstance(other, ParamPoly):
-            return RatFunc.from_poly(other, self.var)
-        return NotImplemented
-
-    # -- queries -----------------------------------------------------------
-
-    def is_constant(self):
-        return len(self.num) <= 1 and len(self.den) == 1
-
-    def constant(self):
-        if not self.is_constant():
-            raise InvalidParameterError("rational function is not constant")
-        return self.num[0] if self.num else Fraction(0)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.var, self.num, self.den))
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        num = _c_add(
-            _c_mul(list(self.num), list(other.den)),
-            _c_mul(list(other.num), list(self.den)),
-        )
-        return RatFunc(self.var, num, _c_mul(list(self.den), list(other.den)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(self.var, [-c for c in self.num], list(self.den))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(
-            self.var,
-            _c_mul(list(self.num), list(other.num)),
-            _c_mul(list(self.den), list(other.den)),
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.num:
-            raise NonInvertibleError("division by zero rational function")
-        return RatFunc(
-            self.var,
-            _c_mul(list(self.num), list(other.den)),
-            _c_mul(list(self.den), list(other.num)),
-        )
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __str__(self):
-        num = str(from_coeffs(self.num, self.var))
-        if self.den == (Fraction(1),):
-            return num
-        return "(%s)/(%s)" % (num, from_coeffs(self.den, self.var))
-
-    __repr__ = __str__
-
-
 # -- exact linear algebra ------------------------------------------------------
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rank, pivot columns, rows).
 
-    Entries may be Fractions, RatFuncs, or plain ints; the field operations
-    +, -, *, / and truthiness are all that is required.
+    Entries are Fractions (with int entries `/` would give floats); +, -,
+    *, / and truthiness are all it uses.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -621,22 +437,3 @@ def rref(rows):
         pivots.append(c)
         r += 1
     return r, pivots, m
-
-
-def matrix_rank_kernel(rows):
-    """Exact rank and kernel basis of a rectangular matrix.
-
-    Kernel vectors v satisfy M.v = 0 exactly; rank + len(kernel) = ncols.
-    """
-    rank, pivots, m = rref(rows)
-    ncols = len(rows[0]) if rows else 0
-    kernel = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        kernel.append(v)
-    return rank, kernel

@@ -98,6 +98,23 @@ def test_parse_form():
     assert cli.parse_form("l*m + m*l") == 2 * l * m
 
 
+@st.composite
+def _forms(draw):
+    """Polynomials in l and m with rational coefficients, homogeneous or not."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+        mono = tuple((v, e) for v, e in zip("lm", exps) if e)
+        terms[mono] = draw(st.fractions(min_value=-50, max_value=50, max_denominator=12))
+    return ParamPoly(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forms())
+def test_parse_form_round_trips_str(p):
+    assert cli.parse_form(str(p)) == p
+
+
 def test_parse_form_rejects_garbage():
     cases = [
         ("l +", "dangling sign"),
@@ -215,6 +232,32 @@ def test_pencil_malformed_headers_exit_2(tmp_path, capsys):
         code, captured = _pencil_exit(f, capsys)
         assert code == 2
         assert captured.err.startswith("error: malformed degree header")
+
+
+def test_pencil_degree_cap(tmp_path, capsys):
+    f = tmp_path / "pencil.txt"
+    _write_pencil(f, "degree %d" % cli.MAX_DEGREE, ["0"] * 10)
+    code, captured = _pencil_exit(f, capsys)
+    assert code == 0 and captured.out.startswith("degree: %d\n" % cli.MAX_DEGREE)
+    # rejected from the header alone, before any entry or list is built
+    for degree, entry in [(cli.MAX_DEGREE + 1, "0"), (100000000, "l^100000000")]:
+        _write_pencil(f, "degree %d" % degree, [entry] + ["0"] * 9)
+        code, captured = _pencil_exit(f, capsys)
+        assert code == 2 and captured.out == ""
+        message = "error: degree %d is above the cap of %d\n" % (degree, cli.MAX_DEGREE)
+        assert captured.err == message
+
+
+def test_pencil_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
+    # CPython converts at most 4300 digits by default
+    digits = "1" * 5000
+    f = tmp_path / "pencil.txt"
+    for header, entry in [("degree " + digits, "l"), ("degree 1", "l^" + digits),
+                          ("degree 1", digits + "*l"), ("degree 1", "1/" + digits + "*l")]:
+        _write_pencil(f, header, [entry] + ["0"] * 9)
+        code, captured = _pencil_exit(f, capsys)
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: number of ") and "is too long" in captured.err
 
 
 def test_pencil_invalid_utf8_exits_2(tmp_path, capsys):

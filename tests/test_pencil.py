@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -11,14 +12,7 @@ from p1p3bundle.errors import (
     RankTooHighError,
 )
 from p1p3bundle.pencil import WHOLE_LINE, QuadricPencil, WholeLine
-from p1p3bundle.poly import (
-    ParamPoly,
-    RatFunc,
-    gcd_univariate,
-    matrix_rank_kernel,
-    squarefree_univariate,
-    univariate_coeffs,
-)
+from p1p3bundle.poly import ParamPoly, bareiss_rank, rref
 
 L = ParamPoly.var("l")
 M = ParamPoly.var("m")
@@ -134,20 +128,32 @@ def test_rank_at_never_exceeds_generic_rank():
         assert p.rank_at(l0, m0) <= g
 
 
+def _l_poly(coeffs):
+    return sum((c * L ** i for i, c in enumerate(coeffs)), ParamPoly.const(0))
+
+
 def test_singular_line_annihilates_matrix():
-    p = QuadricPencil.degree4_witness()
-    line, _ = p.singular_line_family()
-    matrix = p._function_field_matrix()
-    zero = RatFunc.const(0, "l")
-    for v in line.basis:
-        for row in matrix:
-            s = zero
-            for j in range(4):
-                x = v[j]
-                if isinstance(x, int):
-                    x = RatFunc.const(x, "l")
-                s = s + row[j] * x
-            assert not s
+    rng = random.Random(3)
+    pencils = [QuadricPencil.degree4_witness(), QuadricPencil.rank2_normal_form(2, 1, 3)]
+    pencils += [p for p in (_random_pencil(rng) for _ in range(60)) if p.generic_rank() == 2]
+    seen = set()
+    for p in pencils:
+        line, constant = p.singular_line_family()
+        seen.add(constant)
+        q = dict(zip(pencil.PAIRS, line.plucker))
+        # the antisymmetric matrix of the line: its rows lie on the line
+        rows = [[q[i, j] if i < j else tuple(-c for c in q[j, i]) if i > j else ()
+                 for j in range(4)] for i in range(4)]
+        assert bareiss_rank(rows) == 2
+        a = [[e.subs({"m": 1}) for e in row] for row in p.entries]
+        for i in range(4):
+            for k in range(4):
+                assert sum((a[i][j] * _l_poly(rows[j][k]) for j in range(4)),
+                           ParamPoly.const(0)).is_zero()
+        plucker = (_l_poly(q[0, 1]) * _l_poly(q[2, 3]) - _l_poly(q[0, 2]) * _l_poly(q[1, 3])
+                   + _l_poly(q[0, 3]) * _l_poly(q[1, 2]))
+        assert plucker.is_zero()
+    assert seen == {True, False}
 
 
 def test_constant_squared_diagonal():
@@ -161,32 +167,45 @@ def test_constant_squared_diagonal():
 
 def test_rank_is_computed_once_per_pencil(monkeypatch):
     calls = []
+    minor_subs = []
 
     def counting(rows):
         calls.append(rows)
         return real(rows)
 
-    real = pencil.bareiss_rank
+    def counting_sub(a, b):
+        minor_subs.append((a, b))
+        return real_sub(a, b)
+
+    real, real_sub = pencil.bareiss_rank, pencil._z_sub
     monkeypatch.setattr(pencil, "bareiss_rank", counting)
+    monkeypatch.setattr(pencil, "_z_sub", counting_sub)  # one call per 2x2 minor
     p = QuadricPencil.degree4_witness()
     assert p.generic_rank() == 2
     assert p.rank1_parameter_count() == 4
     p.singular_line_family()
+    assert p.rank1_parameter_count() == 4
+    p.singular_line_family()
     assert p.generic_rank() == 2
     assert len(calls) == 1
+    assert len(minor_subs) == 36
 
 
-# The RatFunc route this module used before fraction-free elimination, kept
-# here as the reference: generic rank from the function-field matrix, and
-# the rank-1 count from ParamPoly minors and gcd_univariate.
+# Independent references: the generic rank pointwise, and the rank-1 count
+# from ParamPoly minors with sympy's gcd and squarefree part.
+
+def _evaluated(p, x, y=1):
+    return [[e.evaluate({"l": Fraction(x), "m": Fraction(y)}) for e in row] for row in p.entries]
+
 
 def _reference_generic_rank(p):
-    rows = [[RatFunc.from_poly(e.subs({"m": 1}), "l") for e in row] for row in p.entries]
-    rank, _ = matrix_rank_kernel(rows)
-    return rank
+    """The largest rref rank at the points (x, 1), x = 0..4d: a nonzero
+    r x r minor has degree <= 4d on the chart m = 1, so it is nonzero at one
+    of them."""
+    return max(rref(_evaluated(p, x))[0] for x in range(4 * p.degree + 1))
 
 
-def _reference_rank1_count(p):
+def _reference_rank1_count(p, sympy):
     e = p.entries
     minors = [e[i][k] * e[j][n] - e[i][n] * e[j][k]
               for (i, j) in combinations(range(4), 2) for (k, n) in combinations(range(4), 2)]
@@ -194,11 +213,11 @@ def _reference_rank1_count(p):
     if not minors:
         return WHOLE_LINE
     inf_mult = min(2 * p.degree - f.degree_in("l") for f in minors)
-    g = minors[0]
-    for f in minors[1:]:
-        g = gcd_univariate(g, f, "l")
-    count = len(univariate_coeffs(squarefree_univariate(g, "l"), "l")) - 1
-    return count + (inf_mult >= 1)
+    x = sympy.Symbol("l")
+    polys = [sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * x ** dict(mono).get("l", 0)
+                            for mono, c in f.terms.items()), x) for f in minors]
+    g = reduce(sympy.gcd, polys)
+    return sympy.sqf_part(g).degree() + (inf_mult >= 1)
 
 
 def _random_form(rng, degree):
@@ -225,15 +244,44 @@ def _random_pencil(rng):
 
 
 def test_rank_and_rank1_count_match_the_ratfunc_reference():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(4)
     pencils = [QuadricPencil.degree4_witness(), QuadricPencil.rank2_normal_form(2, 1, 3),
                QuadricPencil([[0] * 4 for _ in range(4)], degree=3)]
     pencils += [_random_pencil(rng) for _ in range(40)]
+    points = [(1, 0), (0, 1), (Fraction(1, 2), 5), (2, -3), (Fraction(-2, 3), Fraction(5, 7))]
     seen = set()
     for p in pencils:
         rank = p.generic_rank()
         assert rank == _reference_generic_rank(p)
         seen.add(rank)
+        for point in points + [(rng.randint(-9, 9), rng.randint(1, 9))]:
+            assert p.rank_at(*point) == rref(_evaluated(p, *point))[0]
         if rank <= 2:
-            assert p.rank1_parameter_count() == _reference_rank1_count(p)
+            assert p.rank1_parameter_count() == _reference_rank1_count(p, sympy)
     assert seen == {0, 1, 2, 3, 4}
+
+
+def test_constant_flag_matches_pointwise_kernels():
+    # At a point of rank 2 the kernel is the specialisation of the singular
+    # line, whose primitive Plücker coordinates have degree <= 2d; a moving
+    # line equals a given line at <= 2d parameters, so equal kernels at
+    # 2d + 2 points of rank 2 mean a constant line.  Equal kernels are equal row
+    # spaces, i.e. equal reduced rows.
+    rng = random.Random(5)
+    outcomes = []
+    while len(outcomes) < 200:
+        p = _random_pencil(rng)
+        if p.generic_rank() != 2 or _reference_generic_rank(p) != 2:
+            continue
+        kernels = []  # rank < 2 only at the <= 2d roots of the minors' gcd
+        x = 0
+        while len(kernels) < 2 * p.degree + 2:
+            rank, _, reduced = rref(_evaluated(p, x))
+            if rank == 2:
+                kernels.append(reduced[:2])
+            x += 1
+        constant = all(k == kernels[0] for k in kernels)
+        assert p.singular_line_family()[1] == constant
+        outcomes.append(constant)
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20

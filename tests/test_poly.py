@@ -4,19 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p1p3bundle.errors import InvalidParameterError, NonInvertibleError, SolverError
+from p1p3bundle.errors import InvalidParameterError, SolverError
 from p1p3bundle.poly import (
     ParamPoly,
-    RatFunc,
+    _c_gcd,
+    _c_radical,
     _z_exact_div,
     bareiss_rank,
-    from_coeffs,
-    gcd_univariate,
-    matrix_rank_kernel,
     rref,
     solve_zero_identity,
-    squarefree_univariate,
-    univariate_coeffs,
 )
 
 
@@ -106,44 +102,45 @@ def test_solve_zero_identity_rejects(identity, unknowns):
         solve_zero_identity(identity, unknowns)
 
 
-def test_univariate_roundtrip():
-    t = ParamPoly.var("t")
-    p = 2 * t ** 3 - t + 5
-    coeffs = univariate_coeffs(p, "t")
-    assert from_coeffs(coeffs, "t") == p
+# -- ring axioms of ParamPoly ------------------------------------------------------
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
-def test_gcd_univariate_is_monic():
-    t = ParamPoly.var("t")
-    p = (t - 1) * (t - 2)
-    q = (t - 1) * (t + 5)
-    g = gcd_univariate(p, q, "t")
-    assert g == t - 1
+@st.composite
+def _polys(draw, names=("a", "b", "c")):
+    """Sparse polynomials of degree <= 2 in each of `names`."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = draw(st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names)))
+        mono = tuple((v, e) for v, e in zip(names, exps) if e)
+        terms[mono] = draw(_coeffs)
+    return ParamPoly(terms)
 
 
-def test_squarefree_strips_multiplicity():
-    t = ParamPoly.var("t")
-    p = (t - 1) ** 3 * (t + 2)
-    r = squarefree_univariate(p, "t")
-    assert r == (t - 1) * (t + 2)
+@settings(max_examples=100, deadline=None)
+@given(_polys(), _polys(), _polys())
+def test_ring_axioms(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p and p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert (p - p).is_zero() and p * 1 == p and p + 0 == p
+    assert hash(p * q) == hash(q * p)
 
 
-def test_ratfunc_field_arithmetic():
-    x = RatFunc.x("t")
-    one = RatFunc.const(1, "t")
-    f = (x * x - one) / (x - one)
-    assert f == x + one
-    g = one / x
-    assert g * x == one
-    with pytest.raises(NonInvertibleError):
-        one / (x - x)
-
-
-def test_ratfunc_is_constant():
-    x = RatFunc.x("t")
-    assert not x.is_constant()
-    assert (x / x).is_constant()
-    assert RatFunc.const(Fraction(3, 4), "t").constant() == Fraction(3, 4)
+@settings(max_examples=100, deadline=None)
+@given(_polys(), _polys(), _polys(("b", "c")), st.lists(_coeffs, min_size=3, max_size=3))
+def test_subs_and_evaluate_are_homomorphisms(p, q, s, values):
+    point = dict(zip("abc", values))
+    assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+    # substituting a polynomial for a, then values for b and c
+    sub = {"a": s}
+    assert (p + q).subs(sub) == p.subs(sub) + q.subs(sub)
+    assert (p * q).subs(sub) == p.subs(sub) * q.subs(sub)
+    assert p.subs(sub).evaluate(point) == p.evaluate(dict(point, a=s.evaluate(point)))
+    assert p.subs(point) == ParamPoly.const(p.evaluate(point))
 
 
 def test_rref_and_kernel_over_fractions():
@@ -152,28 +149,13 @@ def test_rref_and_kernel_over_fractions():
         [Fraction(2), Fraction(4), Fraction(6)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
-    rank, pivots, _ = rref([list(r) for r in rows])
-    assert rank == 2
-    rank2, kernel = matrix_rank_kernel(rows)
-    assert rank2 == 2
-    assert len(kernel) == 1
-    v = kernel[0]
+    rank, pivots, reduced = rref(rows)
+    assert rank == 2 and pivots == [0, 1]
+    # the kernel vector from the free column 2 of the reduced rows
+    v = [-reduced[0][2], -reduced[1][2], 1]
+    assert v == [-1, -1, 1]
     for row in rows:
         assert sum(row[j] * v[j] for j in range(3)) == 0
-
-
-def test_kernel_over_function_field():
-    t = RatFunc.x("t")
-    zero = RatFunc.const(0, "t")
-    rows = [[t, t * t], [t * t, t * t * t]]
-    rank, kernel = matrix_rank_kernel(rows)
-    assert rank == 1
-    v = kernel[0]
-    for row in rows:
-        s = zero
-        for j in range(2):
-            s = s + row[j] * v[j]
-        assert not s
 
 
 # -- fraction-free rank over Z[x] -------------------------------------------------
@@ -215,11 +197,20 @@ def _z_matrices(draw):
     return [[_list_trim(e) for e in row] for row in matrix]
 
 
+def _pointwise_rank(matrix):
+    """Rank over the rational-function field Q(x) as the largest rref rank of
+    the matrix evaluated at 4*deg + 1 integer points: a nonzero r x r minor
+    (r <= 4) has degree <= 4*deg, so it is nonzero at one of them."""
+    deg = max([len(e) - 1 for row in matrix for e in row] + [0])
+    return max(rref([[Fraction(sum(c * x ** k for k, c in enumerate(e))) for e in row]
+                     for row in matrix])[0]
+               for x in range(4 * deg + 1))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_z_matrices())
 def test_bareiss_rank_matches_ratfunc_rank(matrix):
-    expected, _ = matrix_rank_kernel([[RatFunc("x", e) for e in row] for row in matrix])
-    assert bareiss_rank(matrix) == expected
+    assert bareiss_rank(matrix) == _pointwise_rank(matrix)
 
 
 @settings(max_examples=20, deadline=None)
@@ -251,3 +242,50 @@ def test_exact_division_raises_on_a_remainder():
         _z_exact_div([1], [0, 1])
     with pytest.raises(ZeroDivisionError):
         _z_exact_div([1], [])
+
+
+# -- univariate gcd and radical over Q, against sympy ----------------------------
+
+_int_lists = st.lists(st.integers(-4, 4), max_size=5)
+
+
+def _sympy_monic(sympy, coeffs):
+    x = sympy.Symbol("x")
+    p = sympy.Poly(list(reversed(coeffs)) or [0], x, domain="QQ")
+    return p.monic() if not p.is_zero else p
+
+
+def _as_list(p):
+    """Coefficients of a sympy Poly, lowest degree first, as Fractions."""
+    if p.is_zero:
+        return []
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_lists, _int_lists, _int_lists)
+def test_c_gcd_is_monic_and_matches_sympy(common, a, b):
+    sympy = pytest.importorskip("sympy")
+    # a common factor makes a nontrivial gcd likely
+    a, b = _list_mul(common, a), _list_mul(common, b)
+    g = _c_gcd([Fraction(c) for c in a], [Fraction(c) for c in b])
+    assert not g or g[-1] == 1
+    expected = _sympy_monic(sympy, _list_trim(a)).gcd(_sympy_monic(sympy, _list_trim(b)))
+    assert g == _as_list(expected.monic() if not expected.is_zero else expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+                          st.integers(1, 3)), min_size=1, max_size=3))
+def test_squarefree_strips_multiplicity(factors):
+    sympy = pytest.importorskip("sympy")
+    a = [1]
+    for f, multiplicity in factors:
+        for _ in range(multiplicity):
+            a = _list_mul(a, f)
+    a = _list_trim(a)
+    if not a:
+        return
+    rad = _c_radical([Fraction(c) for c in a])
+    assert rad[-1] == 1
+    assert rad == _as_list(sympy.sqf_part(_sympy_monic(sympy, a)).monic())
