@@ -9,8 +9,6 @@ in sorted id order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
 from . import chern, chow, cohom, geometry, heisenberg, pencil, stability
 from .errors import UnknownClaimError

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import chern, chow, claims, cohom, pencil, stability
-from .errors import ArtifactError, PencilParseError, UnknownClaimError
+from .errors import ArtifactError, PencilParseError
 from .poly import ParamPoly
 
 
@@ -296,9 +296,6 @@ def main(argv=None):
         if args.calc_command == "pencil-rank":
             return _calc_pencil_rank(args.file, out)
         parser.error("unknown command")
-    except (UnknownClaimError, PencilParseError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
     except ArtifactError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

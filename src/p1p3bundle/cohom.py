@@ -2,7 +2,8 @@
 
 Bott's formula on P^n, Kunneth on products, surface Riemann-Roch on
 Hirzebruch surfaces, Serre duality checks, and a long-exact-sequence
-dimension solver for short exact sheaf sequences with one unknown slot.
+dimension solver for short exact sheaf sequences with one unknown slot,
+solved from the one exactness relation at each index.
 """
 
 from __future__ import annotations
@@ -105,9 +106,12 @@ def cohom_sigma0(alpha, beta):
 
 # A known table entry may be None ("not pinned by the argument"); a whole
 # unknown slot is None.  e_i denotes the rank of the connecting map
-# H^i(C) -> H^{i+1}(A), with e_{-1} = e_top = 0.
+# H^i(C) -> H^{i+1}(A), with e_{-1} = e_top = 0.  Exactness at each index i
+# is the one relation h^i(B) = (h^i(A) - e_{i-1}) + (h^i(C) - e_i), whose two
+# brackets are the ranks of A->B and B->C; with the signs below it reads
+# sum_k s_k * h^i(slot k) + e_{i-1} + e_i = 0, solved for the unknown slot.
 
-_UNKNOWN = object()
+_SIGNS = (-1, 1, -1)
 
 
 @dataclass(frozen=True)
@@ -144,128 +148,59 @@ class Underdetermined:
     tables: tuple
 
 
-def _entries(t, n):
-    if t is None:
-        return [None] * n
-    return [None if x is None else int(x) for x in t]
+def _minus(x, y):
+    return None if x is None or y is None else x - y
 
 
 def les_solve(problem):
     """Solve for the unknown slot of a short exact sheaf sequence.
 
-    Returns the unique feasible table (entries may be None where the data
-    does not determine them), or an Underdetermined listing every feasible
-    table.  Raises InconsistentError when no assignment of connecting-map
-    ranks satisfies exactness.
+    Every choice of the connecting ranks e_i within their bounds gives one
+    candidate table from the exactness relation; a candidate is feasible
+    when every known map rank and every solved entry is >= 0 and every hint
+    matches its map's rank.  Returns the unique feasible table (entries may
+    be None where the data does not determine them), or an Underdetermined
+    listing every feasible table.  Raises InconsistentError when there is
+    none.
     """
-    known = [t for t in (problem.a, problem.b, problem.c) if t is not None]
-    n = max(len(t) for t in known)
-    A = _entries(problem.a, n)
-    B = _entries(problem.b, n)
-    C = _entries(problem.c, n)
-    solving = "a" if problem.a is None else ("b" if problem.b is None else "c")
+    slots = [problem.a, problem.b, problem.c]
+    k = slots.index(None)
+    n = max(len(t) for t in slots if t is not None)
+    slots[k] = (None,) * n
+    A, _, C = slots
+    for h in problem.hints:
+        if h.kind not in ("A->B", "B->C", "connecting") or not 0 <= h.index < n:
+            raise InvalidParameterError("no map %r at index %r" % (h.kind, h.index))
 
-    # bounds for e_0..e_{n-2}; e at the top index is 0
+    # e_i <= h^i(C) and e_i <= h^{i+1}(A); an e_i neither bounds is unknown
     ranges = []
     for i in range(n - 1):
-        bounds = []
-        if C[i] is not None:
-            bounds.append(C[i])
-        if A[i + 1] is not None:
-            bounds.append(A[i + 1])
-        ranges.append(range(min(bounds) + 1) if bounds else (_UNKNOWN,))
+        bounds = [x for x in (C[i], A[i + 1]) if x is not None]
+        ranges.append(range(min(bounds) + 1) if bounds else (None,))
 
-    solutions = []
+    solutions = set()
     for evec in itertools.product(*ranges):
-        e = list(evec) + [0]  # e[n-1] = 0
-
-        def e_at(i):
-            return 0 if i < 0 else e[i]
-
-        table = []
-        ok = True
+        e = (0,) + evec + (0,)  # e[i + 1] is e_i
+        table, ranks = [], []
         for i in range(n):
-            ai, bi, ci = A[i], B[i], C[i]
-            if solving == "b":
-                if ai is None or ci is None or e_at(i) is _UNKNOWN or e_at(i - 1) is _UNKNOWN:
-                    bi = None
-                else:
-                    bi = (ai - e_at(i - 1)) + (ci - e_at(i))
-            elif solving == "a":
-                if bi is None or ci is None or e_at(i) is _UNKNOWN or e_at(i - 1) is _UNKNOWN:
-                    ai = None
-                else:
-                    ai = bi - ci + e_at(i) + e_at(i - 1)
-            else:
-                if ai is None or bi is None or e_at(i) is _UNKNOWN or e_at(i - 1) is _UNKNOWN:
-                    ci = None
-                else:
-                    ci = bi - ai + e_at(i - 1) + e_at(i)
-            # exactness constraints, checked where all quantities are known
-            if ai is not None and e_at(i - 1) is not _UNKNOWN and ai - e_at(i - 1) < 0:
-                ok = False
-                break
-            if ci is not None and e_at(i) is not _UNKNOWN and ci - e_at(i) < 0:
-                ok = False
-                break
-            if (
-                ai is not None
-                and bi is not None
-                and ci is not None
-                and e_at(i) is not _UNKNOWN
-                and e_at(i - 1) is not _UNKNOWN
-                and (ai - e_at(i - 1)) + (ci - e_at(i)) != bi
-            ):
-                ok = False
-                break
-            target = {"a": ai, "b": bi, "c": ci}[solving]
-            if target is not None and target < 0:
-                ok = False
-                break
-            table.append(target)
-        if not ok:
+            x = [t[i] for t in slots]
+            if None not in x[:k] + x[k + 1:] + [e[i], e[i + 1]]:
+                known = sum(s * v for s, v in zip(_SIGNS, x) if v is not None)
+                x[k] = -_SIGNS[k] * (known + e[i] + e[i + 1])
+            table.append(x[k])
+            ranks.append({"A->B": _minus(x[0], e[i]), "B->C": _minus(x[2], e[i + 1]),
+                          "connecting": e[i + 1]})
+        values = table + [r for rs in ranks for r in rs.values()]
+        if any(v is not None and v < 0 for v in values):
             continue
-        if not _hints_ok(problem.hints, A, B, C, table, solving, e):
-            continue
-        t = tuple(table)
-        if t not in solutions:
-            solutions.append(t)
+        if all(ranks[h.index][h.kind] in (None, h.rank) for h in problem.hints):
+            solutions.add(tuple(table))
 
     if not solutions:
         raise InconsistentError("no feasible long-exact-sequence assignment")
     if len(solutions) == 1:
-        return solutions[0]
+        return solutions.pop()
     return Underdetermined(tuple(sorted(solutions, key=lambda t: tuple(-1 if x is None else x for x in t))))
-
-
-def _hints_ok(hints, A, B, C, table, solving, e):
-    full = {"a": list(A), "b": list(B), "c": list(C)}
-    full[solving] = table
-    fa, fb, fc = full["a"], full["b"], full["c"]
-
-    def e_at(i):
-        return 0 if i < 0 else e[i]
-
-    for h in hints:
-        i = h.index
-        if h.kind == "connecting":
-            if e_at(i) is _UNKNOWN:
-                continue
-            if e_at(i) != h.rank:
-                return False
-        elif h.kind == "A->B":
-            if fa[i] is None or e_at(i - 1) is _UNKNOWN:
-                continue
-            if fa[i] - e_at(i - 1) != h.rank:
-                return False
-        elif h.kind == "B->C":
-            if fc[i] is None or e_at(i) is _UNKNOWN:
-                continue
-            if fc[i] - e_at(i) != h.rank:
-                return False
-        else:
-            raise InvalidParameterError("unknown hint kind %r" % (h.kind,))
-    return True
 
 
 # h^i(O_X) for an abelian surface X, padded to the ambient 4-fold:

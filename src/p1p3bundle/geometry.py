@@ -10,18 +10,17 @@ Grothendieck-Riemann-Roch pushforward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import chern, chow, cohom
 from .errors import InconsistentError, InvalidParameterError, SolverError
 from .poly import ParamPoly, solve_zero_identity
 
+
 # chi(E(a,b)), the Riemann-Roch polynomial the whole Section-5 argument
 # pivots on; stored as a golden constant so an HRR drift becomes a test
 # failure rather than a silent auto-correction
-from fractions import Fraction
-
-
 def rr_polynomial():
     """-6 + 12a + 34/3 b + 6b^2 + 41/3 ab + 2/3 b^3 + 4ab^2 + 1/3 ab^3."""
     a, b = ParamPoly.var("a"), ParamPoly.var("b")

@@ -3,6 +3,9 @@
 The symmetry group of the embedded surface is generated by an explicit
 pair of integer matrices in GL_2 x GL_4; closure, relations, commutator
 subgroup and abelianization are computed by exact integer arithmetic.
+One closure generates both the group and its commutator subgroup, and one
+coset quotient and one bounded order loop serve both the matrix group and
+the abstract quotients of its abelianization.
 Element identity is exact matrix equality (not projective): the scalar -1
 shows up as the commutator and must be counted.
 """
@@ -60,14 +63,7 @@ class FinMatGroup:
         raise InvalidParameterError("element has no inverse in the group")
 
     def element_order(self, g):
-        k = 1
-        x = g
-        while x != IDENTITY_PAIR:
-            x = pair_mul(x, g)
-            k += 1
-            if k > self.order:
-                raise InvalidParameterError("element order exceeds group order")
-        return k
+        return _order_of(g, pair_mul, IDENTITY_PAIR, self.order)
 
 
 def group_closure(gens, cap=512):
@@ -104,26 +100,12 @@ def relation_check(group):
         raise InvalidParameterError("relation_check needs exactly two generators")
     s, t = group.generators
     st = pair_mul(s, t)
-
-    def power(g, k):
-        x = IDENTITY_PAIR
-        for _ in range(k):
-            x = pair_mul(x, g)
-        return x
-
-    ord_st = None
-    x = st
-    for k in range(1, len(group.elements) + 1):
-        if x == IDENTITY_PAIR:
-            ord_st = k
-            break
-        x = pair_mul(x, st)
     st_inv = group.inverse(st) if st in group.elements else None
     conj = pair_mul(pair_mul(t, st), t)
     return {
-        "sigma^2=1": power(s, 2) == IDENTITY_PAIR,
-        "tau^2=1": power(t, 2) == IDENTITY_PAIR,
-        "ord(sigma*tau)=4": ord_st == 4,
+        "sigma^2=1": pair_mul(s, s) == IDENTITY_PAIR,
+        "tau^2=1": pair_mul(t, t) == IDENTITY_PAIR,
+        "ord(sigma*tau)=4": group.element_order(st) == 4,
         "tau*(sigma*tau)*tau=(sigma*tau)^-1": st_inv is not None and conj == st_inv,
     }
 
@@ -137,44 +119,33 @@ def commutator_structure(group):
         for h in elems:
             hi = group.inverse(h)
             comms.add(pair_mul(pair_mul(g, h), pair_mul(gi, hi)))
-    derived = _subgroup_closure(comms)
-    quotient_elems, quotient_mul, quotient_id = _quotient(group.elements, derived)
+    derived = group_closure(comms, cap=group.order).elements
+    quotient_elems, quotient_mul, quotient_id = _quotient(elems, pair_mul, derived)
     invariants = _abelian_invariants(quotient_elems, quotient_mul, quotient_id)
     return len(derived), FinAbGroup(invariants)
 
 
-def _subgroup_closure(seed):
-    elements = set(seed) | {IDENTITY_PAIR}
-    changed = True
-    while changed:
-        changed = False
-        for g in sorted(elements):
-            for h in sorted(elements):
-                p = pair_mul(g, h)
-                if p not in elements:
-                    elements.add(p)
-                    changed = True
-    return frozenset(elements)
-
-
-def _quotient(elements, normal):
+def _quotient(elems, mul, subgroup):
+    """(cosets g*subgroup, their product, the identity coset); each coset
+    multiplies through its first representative in `elems`."""
     cosets = {}
-    for g in sorted(elements):
-        coset = frozenset(pair_mul(g, n) for n in normal)
-        cosets.setdefault(coset, g)
+    for g in elems:
+        cosets.setdefault(frozenset(mul(g, s) for s in subgroup), g)
 
-    def mul(c1, c2):
-        rep = pair_mul(cosets[c1], cosets[c2])
-        return frozenset(pair_mul(rep, n) for n in normal)
+    def qmul(c1, c2):
+        rep = mul(cosets[c1], cosets[c2])
+        return frozenset(mul(rep, s) for s in subgroup)
 
-    identity = frozenset(normal)
-    return list(cosets), mul, identity
+    return list(cosets), qmul, frozenset(subgroup)
 
 
-def _order_of(x, mul, identity):
+def _order_of(x, mul, identity, bound):
+    """Least k >= 1 with x^k = identity; InvalidParameterError past `bound`."""
     k = 1
     y = x
     while y != identity:
+        if k == bound:
+            raise InvalidParameterError("element order exceeds %d" % bound)
         y = mul(y, x)
         k += 1
     return k
@@ -184,7 +155,7 @@ def _abelian_invariants(elems, mul, identity):
     """Invariant factors d1 | d2 | ... of a small abelian group."""
     if len(elems) == 1:
         return ()
-    orders = {x: _order_of(x, mul, identity) for x in elems}
+    orders = {x: _order_of(x, mul, identity, len(elems)) for x in elems}
     exponent = 1
     for o in orders.values():
         exponent = exponent * o // gcd(exponent, o)
@@ -194,21 +165,8 @@ def _abelian_invariants(elems, mul, identity):
     for _ in range(exponent):
         cyclic.add(y)
         y = mul(y, generator)
-    sub_elems, sub_mul, sub_id = _abstract_quotient(elems, mul, cyclic)
+    sub_elems, sub_mul, sub_id = _quotient(elems, mul, cyclic)
     return tuple(_abelian_invariants(sub_elems, sub_mul, sub_id)) + (exponent,)
-
-
-def _abstract_quotient(elems, mul, subgroup):
-    cosets = {}
-    for g in elems:
-        coset = frozenset(mul(g, s) for s in subgroup)
-        cosets.setdefault(coset, g)
-
-    def qmul(c1, c2):
-        rep = mul(cosets[c1], cosets[c2])
-        return frozenset(mul(rep, s) for s in subgroup)
-
-    return list(cosets), qmul, frozenset(subgroup)
 
 
 # -- finite abelian groups ------------------------------------------------------

@@ -7,8 +7,9 @@ pencil (the chart m = 1, rows cleared of denominators) and its 36 integer
 line (fraction-free Bareiss elimination over Z[l]), the pointwise rank
 (the same elimination on the matrix evaluated at the point), the rank-1
 parameter locus (distinct projective roots of the gcd of the minors,
-including the root at infinity), and the family of singular lines of a
-rank-2 pencil (Plücker coordinates, the Hodge dual of a row pair's minors).
+including the root at infinity, by a primitive gcd and radical over Z),
+and the family of singular lines of a rank-2 pencil (Plücker coordinates,
+the Hodge dual of a row pair's minors).
 """
 
 from __future__ import annotations
@@ -101,13 +102,7 @@ class QuadricPencil:
         """The linear normal form of a rank-<=2 pencil: l*diag-block + m*diag(1,1,0,0)."""
         q1 = [[a0, a1, 0, 0], [a1, a2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         q0 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-        # entries l*a + m on the 2x2 block, matching the determinant arithmetic
-        l, m = ParamPoly.var(LAMBDA), ParamPoly.var(MU)
-        entries = [
-            [l * Fraction(q1[i][j]) + m * Fraction(q0[i][j]) for j in range(4)]
-            for i in range(4)
-        ]
-        return QuadricPencil(entries, degree=1)
+        return QuadricPencil.linear(q1, q0)
 
     @staticmethod
     def from_vectors(*vectors):
@@ -218,7 +213,6 @@ class QuadricPencil:
             # the homogeneous minor has degree 2d; l-degree len(f) - 1
             mult = 2 * self.degree - (len(f) - 1)
             inf_mult = mult if inf_mult is None else min(inf_mult, mult)
-            f = [Fraction(c) for c in f]  # _c_gcd divides with '/'
             g = f if g is None else _c_gcd(g, f)
         if g is None:
             return WHOLE_LINE

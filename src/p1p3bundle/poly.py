@@ -1,21 +1,18 @@
 """Exact-arithmetic foundation.
 
 Sparse multivariate polynomials in named formal parameters over the
-rationals, a univariate Euclidean gcd and radical on Fraction coefficient
-lists, rank by fraction-free (Bareiss) elimination over Z[x] on integer
-coefficient lists, and reduced row echelon form over Q.  Everything here
-is immutable and pure.
+rationals; on integer coefficient lists, a univariate gcd (primitive
+pseudo-remainder sequence) and radical, and rank by fraction-free
+(Bareiss) elimination over Z[x]; and reduced row echelon form over Q.
+Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import InvalidParameterError, SolverError
-
-# Rational coefficients are plain stdlib Fractions: always in lowest terms,
-# positive denominator, structural equality.
-Rat = Fraction
 
 # A monomial is a tuple of (variable name, exponent) pairs, sorted by name,
 # with all exponents > 0.  The empty tuple is the constant monomial.
@@ -245,10 +242,6 @@ class ParamPoly:
         return "ParamPoly(%s)" % self
 
 
-ZERO = ParamPoly.const(0)
-ONE = ParamPoly.const(1)
-
-
 def solve_zero_identity(identity, unknowns):
     """[assignment] of `unknowns` making `identity` vanish, unique over Q.
 
@@ -283,7 +276,7 @@ def solve_zero_identity(identity, unknowns):
     return [solution]
 
 
-# -- univariate gcd over Q (Fraction coefficient lists, lowest degree first) ----
+# -- univariate arithmetic over Z (integer coefficient lists, lowest degree first)
 
 
 def _strip(coeffs):
@@ -291,52 +284,6 @@ def _strip(coeffs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
-
-
-def _c_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(a) >= len(b):
-        f = a[-1] / lead
-        d = len(a) - len(b)
-        q[d] = f
-        for i, y in enumerate(b):
-            a[d + i] -= f * y
-        a = _strip(a)
-        if not a:
-            break
-    return _strip(q), _strip(a)
-
-
-def _c_monic(a):
-    if not a:
-        return []
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
-def _c_gcd(a, b):
-    a, b = _strip(a), _strip(b)
-    while b:
-        _, r = _c_divmod(a, b)
-        a, b = b, r
-    return _c_monic(a)
-
-
-def _c_radical(a):
-    """Monic radical (product of distinct irreducible factors) of a."""
-    if len(a) <= 1:
-        return _c_monic(a)
-    da = _strip([i * c for i, c in enumerate(a)][1:])
-    rad, rem = _c_divmod(a, _c_gcd(a, da))
-    assert not rem
-    return _c_monic(rad)
-
-
-# -- fraction-free elimination over Z[x] (integer coefficient lists) -----------
 
 
 def _z_mul(a, b):
@@ -374,6 +321,45 @@ def _z_exact_div(a, b):
     if a:
         raise InvalidParameterError("inexact division in Z[x]: %s / %s" % (a, list(b)))
     return _strip(q)
+
+
+def _primitive(a):
+    """a divided by its content, with a positive leading coefficient."""
+    if not a:
+        return []
+    content = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [c // content for c in a]
+
+
+def _c_gcd(a, b):
+    """gcd of a and b over Q, as a primitive integer list with positive lead.
+
+    Primitive polynomial remainder sequence (Knuth, TAOCP vol. 2, 4.6.1):
+    each pseudo-remainder, lead(b)^k * a mod b, is divided by its content,
+    which keeps the coefficients from growing exponentially.
+    """
+    a, b = _primitive(_strip(a)), _primitive(_strip(b))
+    while b:
+        r, lead = a, b[-1]
+        while len(r) >= len(b):
+            f, d = r[-1], len(r) - len(b)
+            r = [lead * c for c in r]
+            for i, y in enumerate(b):
+                r[d + i] -= f * y
+            r = _strip(r)
+        a, b = b, _primitive(r)
+    return a
+
+
+def _c_radical(a):
+    """Radical (product of the distinct irreducible factors) of a over Q, as
+    a primitive integer list with positive lead.  a / gcd(a, a') is exact in
+    Z[x] because the gcd is primitive (Gauss's lemma)."""
+    a = _strip(a)
+    if len(a) <= 1:
+        return _primitive(a)
+    da = [i * c for i, c in enumerate(a)][1:]
+    return _primitive(_z_exact_div(a, _c_gcd(a, da)))
 
 
 def bareiss_rank(rows):

@@ -5,9 +5,11 @@ pytest -s or in captured output on failure).
 """
 
 import itertools
+import json
 from math import comb
+from pathlib import Path
 
-from p1p3bundle import chern, chow, cohom, geometry, heisenberg, pencil, stability
+from p1p3bundle import chern, chow, claims, cohom, geometry, heisenberg, pencil, stability
 from p1p3bundle.poly import ParamPoly
 
 
@@ -195,3 +197,16 @@ def test_criterion_14_property_suites():
             {"x": sol.x, "y": sol.y, "d": sol.d}
         ).is_zero()
     _report(14, "ring axioms, Serre duality, twist roundtrip, closure, re-substitution", ok)
+
+
+def test_every_claim_matches_the_golden_snapshot():
+    # the benchmark's snapshot of all 25 claims, read only: verdicts and
+    # computed/expected strings must stay byte-identical
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden_claims.json")
+                        .read_text(encoding="utf-8"))
+    assert sorted(golden) == claims.all_ids()
+    for claim_id in claims.all_ids():
+        result = claims.run_claim(claim_id)
+        got = {"status": "PASS" if result.ok else "FAIL", "computed": result.computed,
+               "expected": result.expected}
+        assert got == golden[claim_id], claim_id

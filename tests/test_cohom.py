@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p1p3bundle import cohom
 from p1p3bundle.errors import InconsistentError, InvalidParameterError
@@ -131,3 +133,57 @@ def test_les_requires_exactly_one_unknown():
         cohom.LesProblem(a=t, b=t, c=t)
     with pytest.raises(InvalidParameterError):
         cohom.LesProblem(a=None, b=None, c=t)
+
+
+_KINDS = ("A->B", "B->C", "connecting")
+
+
+@st.composite
+def _les_problems(draw):
+    """Slots (a, b, c) of one length 1-5, one of them None, entries 0-4 (or
+    None in half of the problems), and up to two hints."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(0, 4) | st.none() if draw(st.booleans()) else st.integers(0, 4)
+    slots = [tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(3)]
+    slots[draw(st.integers(0, 2))] = None
+    hints = tuple(cohom.MapRankHint(draw(st.sampled_from(_KINDS)), draw(st.integers(0, n - 1)),
+                                    draw(st.integers(0, 3)))
+                  for _ in range(draw(st.integers(0, 2))))
+    return slots, hints
+
+
+def _solve(slots, hints):
+    try:
+        result = cohom.les_solve(cohom.LesProblem(*slots, hints=hints))
+    except InconsistentError:
+        return ()
+    return result.tables if isinstance(result, cohom.Underdetermined) else (result,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_les_problems(), st.integers(1, 2))
+def test_les_solutions_are_exact(problem, shift):
+    slots, hints = problem
+    k = slots.index(None)
+    for table in _solve(slots, hints):
+        if None in table:
+            continue
+        full = list(slots)
+        full[k] = table
+        a, b, c = full
+        # chi is additive on a short exact sequence
+        assert sum((-1) ** i * (b[i] - a[i] - c[i]) for i in range(len(table))) == 0
+        # the solved slot, fed back as known, admits the original table of
+        # another slot
+        j = (k + shift) % 3
+        full[j] = None
+        assert slots[j] in _solve(full, hints)
+
+
+@given(_les_problems(), st.text(max_size=5).filter(lambda s: s not in _KINDS))
+def test_les_rejects_an_unknown_hint_kind_or_index(problem, kind):
+    slots, hints = problem
+    n = max(len(t) for t in slots if t is not None)
+    for bad in (cohom.MapRankHint(kind, 0, 0), cohom.MapRankHint("connecting", n, 0)):
+        with pytest.raises(InvalidParameterError):
+            cohom.les_solve(cohom.LesProblem(*slots, hints=hints + (bad,)))

@@ -285,3 +285,17 @@ def test_constant_flag_matches_pointwise_kernels():
         assert p.singular_line_family()[1] == constant
         outcomes.append(constant)
     assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
+
+
+def test_rank1_count_of_a_dense_pencil_of_degree_40():
+    # s0*u*u^T + s1*w*w^T with dense random s0, s1: the minors' gcd is s0*s1,
+    # of degree 80, where a Euclid over Fractions took tens of seconds
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(40)
+    s0, s1 = [sum((rng.randint(-9, 9) * L ** i * M ** (40 - i) for i in range(41)),
+                  ParamPoly.const(0)) for _ in range(2)]
+    u, w = (1, 2, 0, 3), (0, 1, 5, -1)
+    p = QuadricPencil([[s0 * u[i] * u[j] + s1 * w[i] * w[j] for j in range(4)]
+                       for i in range(4)], degree=40)
+    assert p.rank1_parameter_count() == _reference_rank1_count(p, sympy)
+    assert p.singular_line_family()[1] is True

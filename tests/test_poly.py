@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -244,34 +245,38 @@ def test_exact_division_raises_on_a_remainder():
         _z_exact_div([1], [])
 
 
-# -- univariate gcd and radical over Q, against sympy ----------------------------
+# -- univariate gcd and radical over Z, against sympy ----------------------------
 
 _int_lists = st.lists(st.integers(-4, 4), max_size=5)
 
 
-def _sympy_monic(sympy, coeffs):
-    x = sympy.Symbol("x")
-    p = sympy.Poly(list(reversed(coeffs)) or [0], x, domain="QQ")
-    return p.monic() if not p.is_zero else p
+def _sympy_poly(sympy, coeffs):
+    return sympy.Poly(list(reversed(coeffs)) or [0], sympy.Symbol("x"), domain="ZZ")
 
 
-def _as_list(p):
-    """Coefficients of a sympy Poly, lowest degree first, as Fractions."""
+def _primitive_list(p):
+    """Coefficients of a sympy Poly's primitive part with a positive lead,
+    lowest degree first."""
     if p.is_zero:
         return []
-    return [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    p = p.primitive()[1]
+    return [int(c) * (1 if p.LC() > 0 else -1) for c in reversed(p.all_coeffs())]
+
+
+def _is_primitive(coeffs):
+    return not coeffs or (coeffs[-1] > 0 and math.gcd(*coeffs) == 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_int_lists, _int_lists, _int_lists)
-def test_c_gcd_is_monic_and_matches_sympy(common, a, b):
+def test_c_gcd_is_primitive_and_matches_sympy(common, a, b):
     sympy = pytest.importorskip("sympy")
     # a common factor makes a nontrivial gcd likely
     a, b = _list_mul(common, a), _list_mul(common, b)
-    g = _c_gcd([Fraction(c) for c in a], [Fraction(c) for c in b])
-    assert not g or g[-1] == 1
-    expected = _sympy_monic(sympy, _list_trim(a)).gcd(_sympy_monic(sympy, _list_trim(b)))
-    assert g == _as_list(expected.monic() if not expected.is_zero else expected)
+    g = _c_gcd(a, b)
+    assert _is_primitive(g)
+    expected = sympy.gcd(_sympy_poly(sympy, _list_trim(a)), _sympy_poly(sympy, _list_trim(b)))
+    assert g == _primitive_list(expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -286,6 +291,6 @@ def test_squarefree_strips_multiplicity(factors):
     a = _list_trim(a)
     if not a:
         return
-    rad = _c_radical([Fraction(c) for c in a])
-    assert rad[-1] == 1
-    assert rad == _as_list(sympy.sqf_part(_sympy_monic(sympy, a)).monic())
+    rad = _c_radical(a)
+    assert _is_primitive(rad)
+    assert rad == _primitive_list(sympy.sqf_part(_sympy_poly(sympy, a)))
