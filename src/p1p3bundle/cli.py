@@ -2,6 +2,11 @@
 
 Exit status contract: 0 all pass / success, 1 any claim failed, 2 usage
 or parse errors (including unknown claim ids and malformed pencil files).
+
+Importing this module loads only `claims` and `errors` from the package:
+each calculator imports the computation modules it uses, and each claim
+check imports its own (see `claims`), so a single `verify --claim` or
+`calc` process compiles and loads only what that command needs.
 """
 
 from __future__ import annotations
@@ -12,11 +17,9 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 
-from . import chern, chow, claims, cohom, pencil, stability
+from . import claims
 from .errors import ArtifactError, PencilParseError
-from .poly import ParamPoly
 
 
 def _run_verify(ids, as_json, out):
@@ -64,6 +67,9 @@ def _run_list(out):
 
 
 def _calc_chi(a, b, out):
+    from . import chern, chow
+    from .poly import ParamPoly
+
     ring = chow.p1xp3()
     twisted = chern.twist(
         chern.abelian_surface_bundle(),
@@ -74,11 +80,15 @@ def _calc_chi(a, b, out):
 
 
 def _calc_cohom(a, b, out):
+    from . import cohom
+
     out.write("%s\n" % (tuple(cohom.cohom_p1xp3(a, b)),))
     return 0
 
 
 def _calc_slope(m, n, a, b, out):
+    from . import stability
+
     value = stability.slope_dot((a, b), stability.Polarization(m, n)).constant()
     out.write("%s\n" % value)
     return 0
@@ -90,11 +100,11 @@ def _calc_pencil_rank(path, out):
     rank = p.generic_rank()
     out.write("generic rank: %d\n" % rank)
     if rank <= 2:
-        count = p.rank1_parameter_count()
-        if isinstance(count, pencil.WholeLine):
-            out.write("rank-1 parameters: whole line\n")
-        else:
+        count = p.rank1_parameter_count()  # an int, or pencil.WHOLE_LINE
+        if isinstance(count, int):
             out.write("rank-1 parameters: %d\n" % count)
+        else:
+            out.write("rank-1 parameters: whole line\n")
     return 0
 
 
@@ -126,8 +136,21 @@ def _number(convert, digits):
         raise PencilParseError("number of %d characters is too long" % len(digits)) from None
 
 
+# (Fraction, ParamPoly, pencil variables): imported by the first parse_form
+# call, not with this module, and kept so that no import runs per entry
+_FORM_NAMES = None
+
+
 def parse_form(text):
     """Parse a polynomial in l, m like '3*l^2*m - 1/2*m^3' into a ParamPoly."""
+    global _FORM_NAMES
+    if _FORM_NAMES is None:
+        from fractions import Fraction
+        from . import pencil
+        from .poly import ParamPoly
+
+        _FORM_NAMES = Fraction, ParamPoly, (pencil.LAMBDA, pencil.MU)
+    Fraction, ParamPoly, variables = _FORM_NAMES
     pos = 0
     total = ParamPoly.const(0)
     term = None  # (coefficient, ParamPoly of variables) while being read
@@ -170,7 +193,7 @@ def parse_form(text):
         elif match.group("var"):
             pending_sign = False
             name = match.group("var")
-            if name not in (pencil.LAMBDA, pencil.MU):
+            if name not in variables:
                 raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (name, text))
             if term is not None and not expect_factor:
                 raise PencilParseError("missing '*' before %r in %r" % (name, text))
@@ -216,7 +239,9 @@ def load_pencil(path):
     body = lines[1:]
     if len(body) != 10:
         raise PencilParseError("expected 10 entry lines, got %d" % len(body))
-    entries = [[ParamPoly.const(0)] * 4 for _ in range(4)]
+    from . import pencil
+
+    entries = [[None] * 4 for _ in range(4)]  # ENTRY_ORDER and symmetry fill all 16
     for (i, j), text in zip(ENTRY_ORDER, body):
         p = parse_form(text)
         entries[i][j] = p

@@ -139,6 +139,8 @@ class LesProblem:
     def __post_init__(self):
         if sum(x is None for x in (self.a, self.b, self.c)) != 1:
             raise InvalidParameterError("exactly one slot must be unknown")
+        if len({len(t) for t in (self.a, self.b, self.c) if t is not None}) != 1:
+            raise InvalidParameterError("the known tables must have the same length")
 
 
 @dataclass(frozen=True)

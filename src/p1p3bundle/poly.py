@@ -179,13 +179,17 @@ class ParamPoly:
         return result
 
     def evaluate(self, assignment):
-        """Evaluate at a full numeric point; returns a Fraction (fast path)."""
+        """Evaluate at a full numeric point; returns a Fraction (fast path).
+
+        The powers of a monomial are multiplied first, so that on integer
+        points each term costs one Fraction product, by the coefficient.
+        """
         total = Fraction(0)
         for mono, coeff in self.terms.items():
-            v = coeff
+            v = 1
             for name, e in mono:
-                v = v * assignment[name] ** e
-            total += v
+                v *= assignment[name] ** e
+            total += coeff * v
         return total
 
     def collect(self, on_vars):

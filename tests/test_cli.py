@@ -1,12 +1,17 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import p1p3bundle
 from p1p3bundle import cli
 from p1p3bundle.errors import PencilParseError
 from p1p3bundle.poly import ParamPoly
@@ -195,6 +200,28 @@ def test_pencil_indented_comment_is_ignored(tmp_path, capsys):
     ])
     assert cli.main(["calc", "pencil-rank", str(f)]) == 0
     assert "generic rank: 2" in capsys.readouterr().out
+
+
+_COMPUTATION = {"chern", "chow", "cohom", "geometry", "heisenberg", "pencil", "poly", "stability"}
+
+
+def _modules_loaded_by(code):
+    """The package modules a fresh interpreter has loaded after running `code`."""
+    script = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('p1p3bundle')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(p1p3bundle.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return {m.partition(".")[2] or m for m in proc.stdout.splitlines()[-1].split()}
+
+
+def test_commands_load_only_the_modules_they_use():
+    assert _modules_loaded_by("import p1p3bundle.cli") == {"p1p3bundle", "cli", "claims", "errors"}
+    verify = _modules_loaded_by(
+        "from p1p3bundle import cli\nassert cli.main(['verify', '--claim', 'prop2.1', '--json']) == 0"
+    )
+    assert verify & _COMPUTATION == {"heisenberg"}
+    cohom = _modules_loaded_by("from p1p3bundle import cli\nassert cli.main(['calc', 'cohom', '1', '2']) == 0")
+    assert "cohom" in cohom and not cohom & {"pencil", "geometry"}
 
 
 def test_usage_error_exits_2():

@@ -135,6 +135,13 @@ def test_les_requires_exactly_one_unknown():
         cohom.LesProblem(a=None, b=None, c=t)
 
 
+def test_les_rejects_tables_of_different_lengths():
+    with pytest.raises(InvalidParameterError, match="same length"):
+        cohom.LesProblem(a=(1, 0), b=None, c=(1, 0, 0))
+    with pytest.raises(InvalidParameterError, match="same length"):
+        cohom.LesProblem(a=None, b=cohom.CohomTable((1, 0, 0, 0)), c=(1, None, None))
+
+
 _KINDS = ("A->B", "B->C", "connecting")
 
 

@@ -1,12 +1,52 @@
 import pytest
 
-from p1p3bundle import geometry
+from p1p3bundle import claims, geometry
 from p1p3bundle.errors import InconsistentError, InvalidParameterError
 from p1p3bundle.poly import ParamPoly
 
 
 def test_rr_polynomial_matches_hrr():
     assert geometry.chi_twisted_bundle() == geometry.rr_polynomial()
+
+
+def _to_sympy(sympy, p):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator)
+         * sympy.prod([sympy.Symbol(v) ** e for v, e in mono]) for mono, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def test_hrr_oracle_chi_is_the_bott_kunneth_polynomial():
+    sympy = pytest.importorskip("sympy")
+    a, b = sympy.symbols("a b")
+    want = (a + 1) * sympy.expand_func(sympy.binomial(b + 3, 3))
+    assert sympy.expand(_to_sympy(sympy, claims._line_chi()) - want) == 0
+
+
+def test_rr_polynomial_matches_sympy_hrr():
+    # chi(E(a,b)) = integral of ch(E) e^(a h1 + b h3) td(P1) td(P3) over
+    # P1xP3, in Q[h1, h3]/(h1^2, h3^4) where h1 h3^3 is the point; ch(E)
+    # from Chern roots x1 + x2 = c1, x1 x2 = c2, td from t / (1 - e^-t)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.polyfuncs import symmetrize
+
+    a, b, h1, h3, t, x1, x2 = sympy.symbols("a b h1 h3 t x1 x2")
+
+    def series(f, var, order):
+        return sympy.series(f, var, 0, order).removeO()
+
+    roots = sympy.expand(series(sympy.exp(t * x1) + sympy.exp(t * x2), t, 5))
+    sym, rest, (e1, e2) = symmetrize(roots, x1, x2, formal=True)
+    assert rest == 0
+    ch_e = sym.subs({e1[0]: 2 * h1 + 4 * h3, e2[0]: 8 * h1 * h3 + 6 * h3 ** 2, t: 1})
+    twist = series(sympy.exp(t * (a * h1 + b * h3)), t, 5).subs(t, 1)
+    todd = (series(t / (1 - sympy.exp(-t)), t, 2) ** 2).subs(t, h1) * (
+        series(t / (1 - sympy.exp(-t)), t, 4) ** 4
+    ).subs(t, h3)
+    integrand = sympy.Poly(sympy.expand(ch_e * twist * todd), h1, h3)
+    chi = integrand.coeff_monomial(h1 * h3 ** 3)
+    assert sympy.expand(_to_sympy(sympy, geometry.rr_polynomial()) - chi) == 0
 
 
 def test_rr_polynomial_spot_values():

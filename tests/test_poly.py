@@ -144,6 +144,19 @@ def test_subs_and_evaluate_are_homomorphisms(p, q, s, values):
     assert p.subs(point) == ParamPoly.const(p.evaluate(point))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_polys(), st.lists(st.one_of(st.integers(-5, 5), _coeffs), min_size=3, max_size=3))
+def test_evaluate_returns_the_fraction_of_subs(p, values):
+    # a Fraction even when every coefficient and value is an int: an int
+    # would turn the halving in claims._check_lemma42 into float division
+    point = dict(zip("abc", values))
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == p.subs(point).constant()
+    integral = ParamPoly({m: c.numerator for m, c in p.terms.items()})
+    assert type(integral.evaluate(point)) is Fraction
+
+
 def test_rref_and_kernel_over_fractions():
     rows = [
         [Fraction(1), Fraction(2), Fraction(3)],
