@@ -7,6 +7,10 @@ Importing this module loads only `claims` and `errors` from the package:
 each calculator imports the computation modules it uses, and each claim
 check imports its own (see `claims`), so a single `verify --claim` or
 `calc` process compiles and loads only what that command needs.
+
+`parse_form` reads each pencil entry term by term into an int (or, where
+a number has a '/', Fraction) coefficient and an exponent dict, and builds
+one ParamPoly per entry from the summed terms.
 """
 
 from __future__ import annotations
@@ -142,7 +146,13 @@ _FORM_NAMES = None
 
 
 def parse_form(text):
-    """Parse a polynomial in l, m like '3*l^2*m - 1/2*m^3' into a ParamPoly."""
+    """Parse a polynomial in l, m like '3*l^2*m - 1/2*m^3' into a ParamPoly.
+
+    Each term is read as a coefficient (an int, or a Fraction once one of
+    its numbers has a '/') and a {variable: exponent} dict; the terms are
+    summed into one dict keyed by monomial, and the result is built as one
+    ParamPoly of Fractions.
+    """
     global _FORM_NAMES
     if _FORM_NAMES is None:
         from fractions import Fraction
@@ -152,68 +162,72 @@ def parse_form(text):
         _FORM_NAMES = Fraction, ParamPoly, (pencil.LAMBDA, pencil.MU)
     Fraction, ParamPoly, variables = _FORM_NAMES
     pos = 0
-    total = ParamPoly.const(0)
-    term = None  # (coefficient, ParamPoly of variables) while being read
-    sign = 1
+    terms = {}  # sorted monomial tuple -> coefficient
+    coeff = None  # coefficient of the term being read, None between terms
+    powers = None  # {variable: exponent} of the term being read
+    sign = 1  # of the next term; read only when a term starts
     pending_sign = False
     expect_factor = False
 
     def flush():
-        nonlocal total, term
-        if term is not None:
-            coeff, mono = term
-            total = total + ParamPoly.const(coeff) * mono
-            term = None
+        nonlocal coeff
+        if coeff is not None:
+            mono = tuple(sorted((v, e) for v, e in powers.items() if e))
+            terms[mono] = terms.get(mono, 0) + coeff
+            coeff = None
 
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if not match or match.end() == pos:
             raise PencilParseError("cannot parse %r at position %d" % (text, pos))
         pos = match.end()
-        if match.group("sign"):
+        kind = match.lastgroup  # 'exp' for a variable with an exponent
+        if kind == "var" or kind == "exp":
+            pending_sign = False
+            name = match.group("var")
+            if name not in variables:
+                raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (name, text))
+            if coeff is not None and not expect_factor:
+                raise PencilParseError("missing '*' before %r in %r" % (name, text))
+            exponent = 1 if kind == "var" else _number(int, match.group("exp"))
+            if coeff is None:
+                coeff, powers = sign, {name: exponent}
+            else:
+                powers[name] = powers.get(name, 0) + exponent
+            expect_factor = False
+        elif kind == "num":
+            pending_sign = False
+            digits = match.group("num")
+            if coeff is not None and not expect_factor:
+                raise PencilParseError("missing '*' before %r in %r" % (digits, text))
+            if "/" in digits:
+                try:
+                    value = _number(Fraction, digits)
+                except ZeroDivisionError:
+                    raise PencilParseError("zero denominator in %r" % text) from None
+            else:
+                value = _number(int, digits)
+            if coeff is None:
+                coeff, powers = sign * value, {}
+            else:
+                coeff *= value
+            expect_factor = False
+        elif kind == "star":
+            if coeff is None or expect_factor:
+                raise PencilParseError("misplaced '*' in %r" % text)
+            expect_factor = True
+        else:  # sign
             if expect_factor:
                 raise PencilParseError("misplaced sign in %r" % text)
             flush()
             sign = 1 if match.group("sign") == "+" else -1
             pending_sign = True
-        elif match.group("num"):
-            pending_sign = False
-            if term is not None and not expect_factor:
-                raise PencilParseError("missing '*' before %r in %r" % (match.group("num"), text))
-            try:
-                value = _number(Fraction, match.group("num"))
-            except ZeroDivisionError:
-                raise PencilParseError("zero denominator in %r" % text) from None
-            if term is None:
-                term = (value * sign, ParamPoly.const(1))
-            else:
-                term = (term[0] * value, term[1])
-            sign = 1
-            expect_factor = False
-        elif match.group("var"):
-            pending_sign = False
-            name = match.group("var")
-            if name not in variables:
-                raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (name, text))
-            if term is not None and not expect_factor:
-                raise PencilParseError("missing '*' before %r in %r" % (name, text))
-            factor = ParamPoly.var(name, _number(int, match.group("exp") or "1"))
-            if term is None:
-                term = (Fraction(sign), factor)
-                sign = 1
-            else:
-                term = (term[0], term[1] * factor)
-            expect_factor = False
-        elif match.group("star"):
-            if term is None or expect_factor:
-                raise PencilParseError("misplaced '*' in %r" % text)
-            expect_factor = True
     if expect_factor:
         raise PencilParseError("dangling '*' in %r" % text)
     if pending_sign:
         raise PencilParseError("dangling sign in %r" % text)
     flush()
-    return total
+    return ParamPoly({mono: Fraction(c) for mono, c in terms.items() if c})
 
 
 def load_pencil(path):

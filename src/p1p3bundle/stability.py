@@ -43,12 +43,17 @@ def _slope_poly():
     return chow.degree(line * pol ** 3)
 
 
+def _slope_value(line, pol):
+    """L . H^3 for L = O(a, b) with int a, b, as a Fraction."""
+    a, b = line
+    return _slope_poly().evaluate({"a": a, "b": b, "m": pol.m, "n": pol.n})
+
+
 def slope_dot(line, pol):
     """L . H^3 for L = O(a, b) and H = O(m, n), computed in the Chow ring."""
     a, b = line
     if isinstance(a, int) and isinstance(b, int):
-        value = _slope_poly().evaluate({"a": a, "b": b, "m": pol.m, "n": pol.n})
-        return ParamPoly.const(value)
+        return ParamPoly.const(_slope_value(line, pol))
     return _slope_poly().subs({"a": a, "b": b, "m": pol.m, "n": pol.n})
 
 
@@ -97,8 +102,8 @@ def destabilizer_corners():
 
 def stability_decide(pol):
     """'stable', 'semistable_not_stable' or 'unstable' w.r.t. O(m, n)."""
-    threshold = slope_dot((1, 2), pol).constant()  # half of det E = O(2,4)
-    best = max(slope_dot(c, pol).constant() for c in destabilizer_corners())
+    threshold = _slope_value((1, 2), pol)  # half of det E = O(2,4)
+    best = max(_slope_value(c, pol) for c in destabilizer_corners())
     if best < threshold:
         return "stable"
     if best == threshold:

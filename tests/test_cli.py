@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -96,7 +97,6 @@ def test_calc_slope(capsys):
 
 def test_parse_form():
     l, m = ParamPoly.var("l"), ParamPoly.var("m")
-    from fractions import Fraction
     assert cli.parse_form("3*l^2*m - 1/2*m^3") == 3 * l * l * m - Fraction(1, 2) * (m ** 3)
     assert cli.parse_form("0").is_zero()
     assert cli.parse_form("-l") == -l
@@ -118,6 +118,140 @@ def _forms(draw):
 @given(_forms())
 def test_parse_form_round_trips_str(p):
     assert cli.parse_form(str(p)) == p
+
+
+def _reference_parse_form(text):
+    """The per-token parser that `parse_form` replaced, kept as its oracle:
+    every constant, variable, factor and term is a ParamPoly of its own."""
+    variables = ("l", "m")
+    pos = 0
+    total = ParamPoly.const(0)
+    term = None  # (coefficient, ParamPoly of variables) while being read
+    sign = 1
+    pending_sign = False
+    expect_factor = False
+
+    def flush():
+        nonlocal total, term
+        if term is not None:
+            coeff, mono = term
+            total = total + ParamPoly.const(coeff) * mono
+            term = None
+
+    while pos < len(text):
+        match = cli._TOKEN.match(text, pos)
+        if not match or match.end() == pos:
+            raise PencilParseError("cannot parse %r at position %d" % (text, pos))
+        pos = match.end()
+        if match.group("sign"):
+            if expect_factor:
+                raise PencilParseError("misplaced sign in %r" % text)
+            flush()
+            sign = 1 if match.group("sign") == "+" else -1
+            pending_sign = True
+        elif match.group("num"):
+            pending_sign = False
+            if term is not None and not expect_factor:
+                raise PencilParseError("missing '*' before %r in %r" % (match.group("num"), text))
+            try:
+                value = cli._number(Fraction, match.group("num"))
+            except ZeroDivisionError:
+                raise PencilParseError("zero denominator in %r" % text) from None
+            if term is None:
+                term = (value * sign, ParamPoly.const(1))
+            else:
+                term = (term[0] * value, term[1])
+            sign = 1
+            expect_factor = False
+        elif match.group("var"):
+            pending_sign = False
+            name = match.group("var")
+            if name not in variables:
+                raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (name, text))
+            if term is not None and not expect_factor:
+                raise PencilParseError("missing '*' before %r in %r" % (name, text))
+            factor = ParamPoly.var(name, cli._number(int, match.group("exp") or "1"))
+            if term is None:
+                term = (Fraction(sign), factor)
+                sign = 1
+            else:
+                term = (term[0], term[1] * factor)
+            expect_factor = False
+        elif match.group("star"):
+            if term is None or expect_factor:
+                raise PencilParseError("misplaced '*' in %r" % text)
+            expect_factor = True
+    if expect_factor:
+        raise PencilParseError("dangling '*' in %r" % text)
+    if pending_sign:
+        raise PencilParseError("dangling sign in %r" % text)
+    flush()
+    return total
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except PencilParseError as exc:
+        return "error: %s" % exc
+
+
+_FACTORS = ["0", "1", "2", "12", "007", "3/4", "6/3", "0/5", "l", "m", "l^2", "m^3", "l^0", "m^0"]
+_BAD_FACTORS = ["1/0", "x", "l2", "l^", "^2", "/", "/2"]
+_SEPARATORS = ["*", "*", "*", " * "]
+_BAD_SEPARATORS = ["", " ", "**", " ^ ", "^", "*-"]
+_SIGNS = [" + ", " - ", "+", "-"]
+_BAD_SIGNS = ["", " ", "--", "-+", " +- "]
+
+
+@st.composite
+def _grammar_strings(draw):
+    """Strings over the grammar's alphabet: sums of products in which each
+    piece is sometimes replaced by a broken one (a zero denominator, a bad
+    variable, a doubled, misplaced or missing operator), and some plain
+    token soup."""
+    def piece(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 15)) == 0 else good))
+
+    if draw(st.integers(0, 4)) == 0:
+        every = _FACTORS + _BAD_FACTORS + _SEPARATORS + _BAD_SEPARATORS + _SIGNS + _BAD_SIGNS
+        return "".join(draw(st.lists(st.sampled_from(every), max_size=12)))
+    text = draw(st.sampled_from(["", "", "", "-", "+", "- "]))
+    for i in range(draw(st.integers(1, 4))):
+        if i:
+            text += piece(_SIGNS, _BAD_SIGNS)
+        for j in range(draw(st.integers(1, 4))):
+            text += (piece(_SEPARATORS, _BAD_SEPARATORS) if j else "") + piece(_FACTORS, _BAD_FACTORS)
+    return text + piece([""], [" ", "*", "+", "-"])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_grammar_strings())
+def test_parse_form_agrees_with_the_per_token_parser(text):
+    got = _outcome(cli.parse_form, text)
+    assert got == _outcome(_reference_parse_form, text)
+    if isinstance(got, ParamPoly):
+        # so that constant() is never an int, which `/` would turn into a float
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_parse_form_builds_one_poly_per_entry(monkeypatch):
+    cli.parse_form("0")  # the first call binds the names parse_form uses
+    calls = {"init": 0, "mul": 0, "add": 0}
+    init, mul, add = ParamPoly.__init__, ParamPoly.__mul__, ParamPoly.__add__
+
+    def counting(key, method):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ParamPoly, "__init__", counting("init", init))
+    monkeypatch.setattr(ParamPoly, "__mul__", counting("mul", mul))
+    monkeypatch.setattr(ParamPoly, "__add__", counting("add", add))
+    p = cli.parse_form("3*l^2*m - 1/2*m*l*l + 2*l*l*m - m^3 + 7/7*l^0*m^3")
+    assert calls == {"init": 1, "mul": 0, "add": 0}
+    assert p.terms == {(("l", 2), ("m", 1)): Fraction(9, 2)}
 
 
 def test_parse_form_rejects_garbage():
@@ -155,6 +289,16 @@ def test_pencil_rank_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "generic rank: 2" in out
     assert "rank-1 parameters: 2" in out
+
+
+def test_readme_pencil_example(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Pencil file format\n", 1)[1]
+    example = section.split("```\n", 2)[1]
+    f = tmp_path / "pencil.txt"
+    f.write_text(example)
+    assert cli.main(["calc", "pencil-rank", str(f)]) == 0
+    assert capsys.readouterr().out == "degree: 1\ngeneric rank: 2\nrank-1 parameters: 2\n"
 
 
 def test_pencil_rank_whole_line(tmp_path, capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from p1p3bundle import stability
 from p1p3bundle.errors import InvalidParameterError
+from p1p3bundle.poly import ParamPoly
 
 
 def test_polarization_requires_positive_entries():
@@ -81,6 +82,15 @@ def test_stability_decisions():
     assert stability.stability_decide(stability.Polarization(1, 18)) == "semistable_not_stable"
     assert stability.stability_decide(stability.Polarization(1, 19)) == "unstable"
     assert stability.stability_decide(stability.Polarization(2, 36)) == "semistable_not_stable"
+
+
+def test_stability_decide_compares_fractions(monkeypatch):
+    stability.stability_decide(stability.Polarization(1, 1))  # caches the slope polynomial
+    wrapped = []
+    const = ParamPoly.const
+    monkeypatch.setattr(ParamPoly, "const", staticmethod(lambda value: wrapped.append(value) or const(value)))
+    assert stability.stability_decide(stability.Polarization(3, 54)) == "semistable_not_stable"
+    assert wrapped == []
 
 
 def test_stability_region_grid():
