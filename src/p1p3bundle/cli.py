@@ -217,7 +217,7 @@ def parse_form(text):
                 raise PencilParseError("misplaced '*' in %r" % text)
             expect_factor = True
         else:  # sign
-            if expect_factor:
+            if expect_factor or pending_sign:
                 raise PencilParseError("misplaced sign in %r" % text)
             flush()
             sign = 1 if match.group("sign") == "+" else -1

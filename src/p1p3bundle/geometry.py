@@ -89,10 +89,14 @@ def double_structure_identity(e):
 
     Assembles chi(E(a,b)) from the restriction sequences of the double
     structure Y on Z = Sigma_e, then subtracts the golden Riemann-Roch
-    polynomial.
+    polynomial.  With (alpha, beta) the embedding of Z (h1|Z = alpha f and
+    h3|Z = C0 + beta f), the twist (p, q) = (a + d, b + 2) restricts to
+    q C0 + (alpha p + beta q) f.
     """
-    if e not in (0, 2):
-        raise InvalidParameterError("e must be 0 or 2")
+    embeddings = {emb.e: emb for emb in classify_embeddings(2)}
+    if e not in embeddings:
+        raise InvalidParameterError("e must be one of %s" % sorted(embeddings))
+    alpha, beta = embeddings[e].alpha, embeddings[e].beta
     ring = chow.p1xp3()
     h1, h3 = ring.gen("h1"), ring.gen("h3")
     a, b = ParamPoly.var("a"), ParamPoly.var("b")
@@ -101,14 +105,14 @@ def double_structure_identity(e):
     def chi_line(p, q):
         return chern.euler_characteristic(chern.line_bundle(p * h1 + q * h3))
 
-    assembled = chi_line(a - d + 2, b + 2) + chi_line(a + d, b + 2)
-    if e == 0:
-        assembled = assembled - cohom.chi_sigma(0, x + b + 2, y + a + b + d + 2)
-        assembled = assembled - cohom.chi_sigma(0, b + 2, a + b + d + 2)
-    else:
-        assembled = assembled - cohom.chi_sigma(2, x + b + 2, y + a + 2 * b + d + 4)
-        assembled = assembled - cohom.chi_sigma(2, b + 2, a + 2 * b + d + 4)
-    return assembled - rr_polynomial()
+    p, q = a + d, b + 2
+    return (
+        chi_line(a - d + 2, q)
+        + chi_line(p, q)
+        - cohom.chi_sigma(e, x + q, y + alpha * p + beta * q)
+        - cohom.chi_sigma(e, q, alpha * p + beta * q)
+        - rr_polynomial()
+    )
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,12 @@
 """Finite matrix-group generation and finite abelian group arithmetic.
 
 The symmetry group of the embedded surface is generated by an explicit
-pair of integer matrices in GL_2 x GL_4; closure, relations, commutator
-subgroup and abelianization are computed by exact integer arithmetic.
-One closure generates both the group and its commutator subgroup, and one
-coset quotient and one bounded order loop serve both the matrix group and
-the abstract quotients of its abelianization.
+pair of integer matrices in GL_2 x GL_4.  One breadth-first orbit routine,
+driven by the generators, computes the group (the orbit of 1 under right
+multiplication by them), each element's powers, order and inverse (the
+orbit of 1 under x -> x*g) and the commutator subgroup (the normal closure
+of the generator commutators).  The abelianization is one coset quotient
+whose invariants split off the largest cyclic orbit and recurse.
 Element identity is exact matrix equality (not projective): the scalar -1
 shows up as the commutator and must be counted.
 """
@@ -13,7 +14,7 @@ shows up as the commutator and must be counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import CapExceededError, InvalidParameterError
 
@@ -47,6 +48,29 @@ TAU = (
 )
 
 
+def _orbit(start, moves, cap):
+    """Everything reachable from `start` by the maps in `moves`, as a list in
+    breadth-first order (so the orbit of 1 under x -> x*g is 1, g, g^2, ...).
+
+    Raises CapExceededError as soon as more than `cap` elements are found.
+    """
+    out, seen = [start], {start}
+    for x in out:  # out grows while it is walked: a breadth-first queue
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+                if len(out) > cap:
+                    raise CapExceededError("orbit exceeded cap %d" % cap)
+    return out
+
+
+def _powers(g, mul, identity, cap):
+    """[1, g, ..., g^(k-1)] for g of order k <= cap; the last is g's inverse."""
+    return _orbit(identity, (lambda x: mul(x, g),), cap)
+
+
 @dataclass(frozen=True)
 class FinMatGroup:
     elements: frozenset
@@ -56,42 +80,17 @@ class FinMatGroup:
     def order(self):
         return len(self.elements)
 
-    def inverse(self, g):
-        for h in self.elements:
-            if pair_mul(g, h) == IDENTITY_PAIR:
-                return h
-        raise InvalidParameterError("element has no inverse in the group")
-
     def element_order(self, g):
-        return _order_of(g, pair_mul, IDENTITY_PAIR, self.order)
+        """Size of g's cyclic orbit; CapExceededError past the group order."""
+        return len(_powers(g, pair_mul, IDENTITY_PAIR, self.order))
 
 
 def group_closure(gens, cap=512):
-    """Breadth-first closure of the generated group under multiplication.
-
-    Raises CapExceededError as soon as more than `cap` elements are found.
-    """
+    """The group generated by `gens`, as the orbit of 1 under right
+    multiplication by each; CapExceededError past `cap` elements."""
     gens = tuple(gens)
-    elements = {IDENTITY_PAIR}
-    new = []
-
-    def admit(x):
-        if x not in elements:
-            elements.add(x)
-            new.append(x)
-            if len(elements) > cap:
-                raise CapExceededError("group closure exceeded cap %d" % cap)
-
-    for g in sorted(set(gens)):
-        admit(g)
-    while new:
-        frontier = sorted(new)
-        new.clear()
-        for g in frontier:
-            for h in sorted(elements):
-                admit(pair_mul(g, h))
-                admit(pair_mul(h, g))
-    return FinMatGroup(frozenset(elements), gens)
+    moves = [lambda x, g=g: pair_mul(x, g) for g in gens]
+    return FinMatGroup(frozenset(_orbit(IDENTITY_PAIR, moves, cap)), gens)
 
 
 def relation_check(group):
@@ -100,27 +99,25 @@ def relation_check(group):
         raise InvalidParameterError("relation_check needs exactly two generators")
     s, t = group.generators
     st = pair_mul(s, t)
-    st_inv = group.inverse(st) if st in group.elements else None
     conj = pair_mul(pair_mul(t, st), t)
     return {
         "sigma^2=1": pair_mul(s, s) == IDENTITY_PAIR,
         "tau^2=1": pair_mul(t, t) == IDENTITY_PAIR,
         "ord(sigma*tau)=4": group.element_order(st) == 4,
-        "tau*(sigma*tau)*tau=(sigma*tau)^-1": st_inv is not None and conj == st_inv,
+        "tau*(sigma*tau)*tau=(sigma*tau)^-1": pair_mul(conj, st) == IDENTITY_PAIR,
     }
 
 
 def commutator_structure(group):
-    """(order of the commutator subgroup, abelianization invariants)."""
-    elems = sorted(group.elements)
-    comms = set()
-    for g in elems:
-        gi = group.inverse(g)
-        for h in elems:
-            hi = group.inverse(h)
-            comms.add(pair_mul(pair_mul(g, h), pair_mul(gi, hi)))
-    derived = group_closure(comms, cap=group.order).elements
-    quotient_elems, quotient_mul, quotient_id = _quotient(elems, pair_mul, derived)
+    """(order of the commutator subgroup, abelianization invariants); the
+    subgroup is the normal closure of the generator commutators s^-1 t^-1 s t."""
+    pairs = [(s, _powers(s, pair_mul, IDENTITY_PAIR, group.order)[-1]) for s in group.generators]
+    commutators = [pair_mul(pair_mul(si, ti), pair_mul(s, t))
+                   for k, (s, si) in enumerate(pairs) for t, ti in pairs[k + 1:]]
+    moves = [lambda x, c=c: pair_mul(x, c) for c in commutators]
+    moves += [lambda x, s=s, si=si: pair_mul(pair_mul(si, x), s) for s, si in pairs]
+    derived = _orbit(IDENTITY_PAIR, moves, group.order)
+    quotient_elems, quotient_mul, quotient_id = _quotient(group.elements, pair_mul, derived)
     invariants = _abelian_invariants(quotient_elems, quotient_mul, quotient_id)
     return len(derived), FinAbGroup(invariants)
 
@@ -139,34 +136,17 @@ def _quotient(elems, mul, subgroup):
     return list(cosets), qmul, frozenset(subgroup)
 
 
-def _order_of(x, mul, identity, bound):
-    """Least k >= 1 with x^k = identity; InvalidParameterError past `bound`."""
-    k = 1
-    y = x
-    while y != identity:
-        if k == bound:
-            raise InvalidParameterError("element order exceeds %d" % bound)
-        y = mul(y, x)
-        k += 1
-    return k
-
-
 def _abelian_invariants(elems, mul, identity):
-    """Invariant factors d1 | d2 | ... of a small abelian group."""
+    """Invariant factors d1 | d2 | ... of a small abelian group.
+
+    An element of largest order (the exponent) generates a direct summand,
+    so its cyclic orbit is split off by one quotient and the rest recurses.
+    """
     if len(elems) == 1:
         return ()
-    orders = {x: _order_of(x, mul, identity, len(elems)) for x in elems}
-    exponent = 1
-    for o in orders.values():
-        exponent = exponent * o // gcd(exponent, o)
-    generator = next(x for x in elems if orders[x] == exponent)
-    cyclic = set()
-    y = identity
-    for _ in range(exponent):
-        cyclic.add(y)
-        y = mul(y, generator)
+    cyclic = max((_powers(x, mul, identity, len(elems)) for x in elems), key=len)
     sub_elems, sub_mul, sub_id = _quotient(elems, mul, cyclic)
-    return tuple(_abelian_invariants(sub_elems, sub_mul, sub_id)) + (exponent,)
+    return _abelian_invariants(sub_elems, sub_mul, sub_id) + (len(cyclic),)
 
 
 # -- finite abelian groups ------------------------------------------------------
@@ -179,27 +159,17 @@ class FinAbGroup:
         ds = [int(d) for d in invariants]
         if any(d <= 0 for d in ds):
             raise InvalidParameterError("cyclic invariants must be positive")
-        # Smith-style normalization: pairwise (gcd, lcm) sweeps until the
-        # divisibility chain holds, then drop trivial factors.
-        changed = True
-        while changed:
-            changed = False
-            ds.sort()
-            for i in range(len(ds)):
-                for j in range(i + 1, len(ds)):
-                    if ds[j] % ds[i]:
-                        g = gcd(ds[i], ds[j])
-                        l = ds[i] * ds[j] // g
-                        ds[i], ds[j] = g, l
-                        changed = True
-        self.invariants = tuple(d for d in sorted(ds) if d > 1)
+        # Smith-style normalization in one pass: after step i, d_i divides
+        # every later entry, and later (gcd, lcm) replacements keep that.
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                g = gcd(ds[i], ds[j])
+                ds[i], ds[j] = g, ds[i] * ds[j] // g
+        self.invariants = tuple(d for d in ds if d > 1)
 
     @property
     def order(self):
-        out = 1
-        for d in self.invariants:
-            out *= d
-        return out
+        return prod(self.invariants)
 
     @property
     def exponent(self):
@@ -209,7 +179,7 @@ class FinAbGroup:
         if isinstance(other, FinAbGroup):
             return self.invariants == other.invariants
         if isinstance(other, tuple):
-            return self.invariants == FinAbGroup(other).invariants if other else not self.invariants
+            return self.invariants == FinAbGroup(other).invariants
         return NotImplemented
 
     def __hash__(self):

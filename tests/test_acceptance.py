@@ -187,7 +187,7 @@ def test_criterion_14_property_suites():
     # group closure axioms
     g = heisenberg.group_closure((heisenberg.SIGMA, heisenberg.TAU))
     for x in g.elements:
-        ok = ok and g.inverse(x) in g.elements
+        ok = ok and any(heisenberg.pair_mul(x, y) == heisenberg.IDENTITY_PAIR for y in g.elements)
         for y in g.elements:
             ok = ok and heisenberg.pair_mul(x, y) in g.elements
     # solver re-substitution

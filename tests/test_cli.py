@@ -144,7 +144,7 @@ def _reference_parse_form(text):
             raise PencilParseError("cannot parse %r at position %d" % (text, pos))
         pos = match.end()
         if match.group("sign"):
-            if expect_factor:
+            if expect_factor or pending_sign:
                 raise PencilParseError("misplaced sign in %r" % text)
             flush()
             sign = 1 if match.group("sign") == "+" else -1
@@ -266,6 +266,9 @@ def test_parse_form_rejects_garbage():
         ("2 l^2", "missing '*'"),
         ("l2", "bad variable 'l2'"),
         ("1/0*l", "zero denominator"),
+        ("l - - m", "misplaced sign"),
+        ("--l", "misplaced sign"),
+        ("+-l", "misplaced sign"),
     ]
     for text, message in cases:
         with pytest.raises(PencilParseError, match=re.escape(message)):
@@ -331,6 +334,16 @@ def test_pencil_zero_denominator_exits_2(tmp_path, capsys):
     assert cli.main(["calc", "pencil-rank", str(f)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: zero denominator")
+    assert captured.out == ""
+
+
+def test_pencil_doubled_sign_exits_2(tmp_path, capsys):
+    # 'l - - m' is l + m, so reading it as l - m would change the pencil
+    f = tmp_path / "sign.txt"
+    _write_pencil(f, "degree 1", ["l - - m"] + ["0"] * 9)
+    assert cli.main(["calc", "pencil-rank", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: misplaced sign")
     assert captured.out == ""
 
 

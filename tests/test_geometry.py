@@ -1,6 +1,6 @@
 import pytest
 
-from p1p3bundle import claims, geometry
+from p1p3bundle import chern, chow, claims, cohom, geometry
 from p1p3bundle.errors import InconsistentError, InvalidParameterError
 from p1p3bundle.poly import ParamPoly
 
@@ -71,6 +71,30 @@ def test_double_structure_solutions():
     assert (s2.x, s2.y, s2.d) == (2, 0, 4)
     with pytest.raises(InvalidParameterError):
         geometry.double_structure_solve(1)
+
+
+def test_double_structure_identity_matches_the_hand_written_restrictions():
+    # the restrictions to Sigma_0 (alpha, beta) = (1, 1) and to Sigma_2
+    # (1, 2), written out by hand
+    ring = chow.p1xp3()
+    h1, h3 = ring.gen("h1"), ring.gen("h3")
+    a, b = ParamPoly.var("a"), ParamPoly.var("b")
+    x, y, d = ParamPoly.var("x"), ParamPoly.var("y"), ParamPoly.var("d")
+
+    def chi_line(p, q):
+        return chern.euler_characteristic(chern.line_bundle(p * h1 + q * h3))
+
+    lines = chi_line(a - d + 2, b + 2) + chi_line(a + d, b + 2)
+    reference = {
+        0: lines
+        - cohom.chi_sigma(0, x + b + 2, y + a + b + d + 2)
+        - cohom.chi_sigma(0, b + 2, a + b + d + 2),
+        2: lines
+        - cohom.chi_sigma(2, x + b + 2, y + a + 2 * b + d + 4)
+        - cohom.chi_sigma(2, b + 2, a + 2 * b + d + 4),
+    }
+    for e, assembled in reference.items():
+        assert geometry.double_structure_identity(e) == assembled - geometry.rr_polynomial()
 
 
 def test_double_structure_resubstitution():

@@ -1,4 +1,8 @@
+from math import gcd, prod
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from p1p3bundle import heisenberg as hb
 from p1p3bundle.errors import CapExceededError, InvalidParameterError
@@ -17,7 +21,7 @@ def test_trivial_closures():
 def test_closure_is_closed_under_products_and_inverses():
     g = hb.group_closure((hb.SIGMA, hb.TAU))
     for x in g.elements:
-        assert g.inverse(x) in g.elements
+        assert any(hb.pair_mul(x, y) == hb.IDENTITY_PAIR for y in g.elements)
         for y in g.elements:
             assert hb.pair_mul(x, y) in g.elements
 
@@ -140,7 +144,72 @@ def test_has_element_of_order():
     assert hb.has_element_of_order(hb.FinAbGroup((2, 6)), 3)
 
 
-def test_order_two_elements_of_z4_squared():
-    # the elements of order <= 2 in (Z/4)^2 form a (Z/2)^2
-    elems = [(a, b) for a in range(4) for b in range(4) if (2 * a) % 4 == 0 and (2 * b) % 4 == 0]
-    assert len(elems) == 4
+def _signed_permutation(n):
+    """n x n matrices with one entry +-1 in each row and column."""
+    return st.tuples(
+        st.permutations(range(n)), st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    ).map(lambda ps: tuple(
+        tuple(ps[1][j] if ps[0][j] == i else 0 for j in range(n)) for i in range(n)
+    ))
+
+
+def _on_signed_basis(pair):
+    """The pair as one permutation of the 12 vectors +-e_j of Q^2 and Q^4,
+    a faithful action: point 2j (+ offset) is e_j, point 2j + 1 is -e_j."""
+    image, offset = [], 0
+    for m in pair:
+        for j in range(len(m)):
+            i = next(i for i in range(len(m)) if m[i][j])
+            flip = m[i][j] < 0
+            image += [offset + 2 * i + flip, offset + 2 * i + (not flip)]
+        offset += 2 * len(m)
+    return image
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_signed_permutation(2), _signed_permutation(4)), min_size=2, max_size=2))
+def test_group_structure_matches_sympy(gens):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    try:
+        g = hb.group_closure(gens, cap=96)
+    except CapExceededError:
+        assume(False)
+    perms = [combinatorics.Permutation(_on_signed_basis(x)) for x in gens]
+    reference = combinatorics.PermutationGroup(perms)
+    derived, ab = hb.commutator_structure(g)
+    assert g.order == reference.order()
+    assert [g.element_order(x) for x in gens] == [p.order() for p in perms]
+    assert derived == reference.derived_subgroup().order()
+    assert ab == hb.FinAbGroup(reference.abelian_invariants())
+
+
+def test_prop22_group_products_are_few(monkeypatch):
+    # the orbits multiply by generators and generator commutators only, so
+    # the count grows like |G| times the number of generators, not |G|^2
+    calls = []
+    real = hb.pair_mul
+
+    def counting(g, h):
+        calls.append(None)
+        return real(g, h)
+
+    monkeypatch.setattr(hb, "pair_mul", counting)
+    g = hb.group_closure((hb.SIGMA, hb.TAU))
+    assert all(hb.relation_check(g).values())
+    assert hb.commutator_structure(g) == (2, hb.FinAbGroup((2, 2)))
+    assert len(calls) < 250
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 60), max_size=5))
+def test_finab_normalization_is_an_invariant_chain(ds):
+    invariants = hb.FinAbGroup(ds).invariants
+    assert all(d > 1 for d in invariants)
+    assert all(b % a == 0 for a, b in zip(invariants, invariants[1:]))
+    # the number of elements killed by m is an isomorphism invariant; every
+    # divisor m of the order is a product of divisors of the d_i
+    divisors = {1}
+    for d in ds:
+        divisors = {m * k for m in divisors for k in range(1, d + 1) if d % k == 0}
+    for m in divisors:
+        assert prod(gcd(m, d) for d in invariants) == prod(gcd(m, d) for d in ds)
