@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -232,10 +233,12 @@ def parse_form(text):
 
 def load_pencil(path):
     """Read a pencil file: 'degree d' (0 <= d <= MAX_DEGREE) then the 10
-    upper-triangular entries."""
+    upper-triangular entries.  Reading stops at the first significant line
+    past those 11, so an overlong file is rejected without being read whole."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
+            significant = (ln for ln in map(str.strip, fh) if ln and not ln.startswith("#"))
+            lines = list(itertools.islice(significant, 12))
     except OSError as exc:
         raise PencilParseError("cannot read %s: %s" % (path, exc)) from exc
     except UnicodeDecodeError as exc:
@@ -252,7 +255,8 @@ def load_pencil(path):
         raise PencilParseError("degree %d is above the cap of %d" % (degree, MAX_DEGREE))
     body = lines[1:]
     if len(body) != 10:
-        raise PencilParseError("expected 10 entry lines, got %d" % len(body))
+        got = "more than 10" if len(body) > 10 else len(body)
+        raise PencilParseError("expected 10 entry lines, got %s" % got)
     from . import pencil
 
     entries = [[None] * 4 for _ in range(4)]  # ENTRY_ORDER and symmetry fill all 16

@@ -1,21 +1,19 @@
-"""Exact cohomology dimensions of line bundles.
+"""Exact cohomology dimensions of line bundles, as integer tables.
 
-Bott's formula on P^n, Kunneth on products, surface Riemann-Roch on
-Hirzebruch surfaces, Serre duality checks, and a long-exact-sequence
-dimension solver for short exact sheaf sequences with one unknown slot,
-solved from the one exactness relation at each index.
+Bott's formula on P^n, Kunneth on products, Serre duality checks, and a
+long-exact-sequence dimension solver for short exact sheaf sequences with
+one unknown slot, solved from the one exactness relation at each index.
+Euler characteristics computed from Chern classes (Hirzebruch-Riemann-Roch,
+on P1xP3 and on the Hirzebruch surfaces alike) live in `chern`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from . import chow
 from .errors import InconsistentError, InvalidParameterError
-from .poly import ParamPoly
 
 
 @dataclass(frozen=True)
@@ -81,20 +79,6 @@ def serre_dual_check(a, b):
 def intro_h1(a, b):
     """-(a+1) * C(b+3, 3), the closed form for h^1(O(a,b)) when a <= -2, b >= 0."""
     return -(a + 1) * comb(b + 3, 3)
-
-
-def chi_sigma(e, alpha, beta):
-    """chi of O(alpha C0 + beta f) on Sigma_e via surface Riemann-Roch.
-
-    alpha, beta may be integers or ParamPolys; the result is exact.
-    """
-    ring = chow.sigma(e)
-    if not isinstance(alpha, ParamPoly):
-        alpha = ParamPoly.const(alpha)
-    if not isinstance(beta, ParamPoly):
-        beta = ParamPoly.const(beta)
-    d = alpha * ring.gen("C0") + beta * ring.gen("f")
-    return ParamPoly.const(1) + chow.degree(d * (d - ring.canonical)) * Fraction(1, 2)
 
 
 def cohom_sigma0(alpha, beta):

@@ -4,7 +4,9 @@ Covers the Hirzebruch embedding classification, the double-structure
 solver for the ideal line bundle and the pencil degree, the normal-bundle
 obstruction ruling out e = 2, the normality criteria on Sigma_0, splitting
 types from section data, and the degree of the jumping divisor via the
-Grothendieck-Riemann-Roch pushforward.
+Grothendieck-Riemann-Roch pushforward.  Every intersection number and
+Euler characteristic here comes from `chow` and `chern`; `cohom` supplies
+only the integer cohomology tables on Sigma_0.
 """
 
 from __future__ import annotations
@@ -97,20 +99,21 @@ def double_structure_identity(e):
     if e not in embeddings:
         raise InvalidParameterError("e must be one of %s" % sorted(embeddings))
     alpha, beta = embeddings[e].alpha, embeddings[e].beta
-    ring = chow.p1xp3()
+    ring, surface = chow.p1xp3(), chow.sigma(e)
     h1, h3 = ring.gen("h1"), ring.gen("h3")
+    c0, f = surface.gen("C0"), surface.gen("f")
     a, b = ParamPoly.var("a"), ParamPoly.var("b")
     x, y, d = ParamPoly.var("x"), ParamPoly.var("y"), ParamPoly.var("d")
 
-    def chi_line(p, q):
-        return chern.euler_characteristic(chern.line_bundle(p * h1 + q * h3))
+    def chi(line_class):
+        return chern.euler_characteristic(chern.line_bundle(line_class))
 
     p, q = a + d, b + 2
     return (
-        chi_line(a - d + 2, q)
-        + chi_line(p, q)
-        - cohom.chi_sigma(e, x + q, y + alpha * p + beta * q)
-        - cohom.chi_sigma(e, q, alpha * p + beta * q)
+        chi((a - d + 2) * h1 + q * h3)
+        + chi(p * h1 + q * h3)
+        - chi((x + q) * c0 + (y + alpha * p + beta * q) * f)
+        - chi(q * c0 + (alpha * p + beta * q) * f)
         - rr_polynomial()
     )
 

@@ -8,7 +8,9 @@ orbit of 1 under x -> x*g) and the commutator subgroup (the normal closure
 of the generator commutators).  The abelianization is one coset quotient
 whose invariants split off the largest cyclic orbit and recurse.
 Element identity is exact matrix equality (not projective): the scalar -1
-shows up as the commutator and must be counted.
+shows up as the commutator and must be counted.  The polarization kernels
+of Prop. 2.1 are finite abelian groups read from a self-intersection
+number, which the caller computes in the Chow ring (`chow`).
 """
 
 from __future__ import annotations
@@ -187,11 +189,6 @@ class FinAbGroup:
 
     def __repr__(self):
         return "FinAbGroup%s" % (self.invariants,)
-
-
-def tensor_square(self_l1, self_l3, mixed):
-    """(L1 (x) L3)^2 = L1^2 + 2 (L1.L3) + L3^2."""
-    return self_l1 + 2 * mixed + self_l3
 
 
 def type_from_square(sq):

@@ -228,6 +228,16 @@ def test_euler_characteristic_on_p3():
         assert chi == expected, k
 
 
+def test_chi_sigma_closed_forms():
+    # HRR on Sigma_e against chi(O(u C0 + v f)) = (u + 1)(v + 1 - e u / 2),
+    # with formal u and v
+    u, v = ParamPoly.var("u"), ParamPoly.var("v")
+    for e in range(7):
+        ring = chow.sigma(e)
+        line = chern.line_bundle(u * ring.gen("C0") + v * ring.gen("f"))
+        assert chern.euler_characteristic(line) == (u + 1) * (v + 1 - Fraction(e, 2) * u), e
+
+
 def test_euler_characteristic_structure_sheaves():
     assert chern.euler_characteristic(chern.trivial(chow.p3(), 1)).constant() == 1
     assert chern.euler_characteristic(chern.trivial(chow.p1xp3(), 1)).constant() == 1

@@ -373,12 +373,13 @@ def _modules_loaded_by(code):
 
 def test_commands_load_only_the_modules_they_use():
     assert _modules_loaded_by("import p1p3bundle.cli") == {"p1p3bundle", "cli", "claims", "errors"}
-    verify = _modules_loaded_by(
-        "from p1p3bundle import cli\nassert cli.main(['verify', '--claim', 'prop2.1', '--json']) == 0"
-    )
-    assert verify & _COMPUTATION == {"heisenberg"}
-    cohom = _modules_loaded_by("from p1p3bundle import cli\nassert cli.main(['calc', 'cohom', '1', '2']) == 0")
-    assert "cohom" in cohom and not cohom & {"pencil", "geometry"}
+    for argv, used in [
+        (["verify", "--claim", "prop2.2", "--json"], {"heisenberg"}),
+        (["calc", "cohom", "1", "2"], {"cohom"}),
+        (["verify", "--claim", "intro-h1"], {"cohom"}),
+    ]:
+        loaded = _modules_loaded_by("from p1p3bundle import cli\nassert cli.main(%r) == 0" % argv)
+        assert loaded & _COMPUTATION == used, argv
 
 
 def test_usage_error_exits_2():
@@ -450,6 +451,15 @@ def test_pencil_invalid_utf8_exits_2(tmp_path, capsys):
     code, captured = _pencil_exit(f, capsys)
     assert code == 2
     assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+
+
+def test_pencil_overlong_file_is_rejected_before_it_is_read_whole(tmp_path, capsys):
+    # the byte past the 100,000 lines is not UTF-8; reading stops before it
+    f = tmp_path / "pencil.txt"
+    f.write_bytes(b"degree 1\n" + b"0\n" * 100000 + b"\xff\n")
+    code, captured = _pencil_exit(f, capsys)
+    assert code == 2
+    assert captured.err == "error: expected 10 entry lines, got more than 10\n"
 
 
 def test_pencil_non_ascii_digits_are_rejected(tmp_path, capsys):

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from p1p3bundle import cohom
 from p1p3bundle.errors import InconsistentError, InvalidParameterError
-from p1p3bundle.poly import ParamPoly
 
 
 def test_cohom_pn_examples():
@@ -42,13 +41,6 @@ def test_intro_formula_on_grid():
             t = cohom.cohom_p1xp3(a, b)
             assert t[1] == -(a + 1) * comb(b + 3, 3)
             assert t[1] > 0
-
-
-def test_chi_sigma_closed_forms():
-    alpha, beta = ParamPoly.var("u"), ParamPoly.var("v")
-    assert cohom.chi_sigma(0, alpha, beta) == (alpha + 1) * (beta + 1)
-    assert cohom.chi_sigma(2, alpha, beta) == (alpha + 1) * (beta - alpha + 1)
-    assert cohom.chi_sigma(0, 0, 0).constant() == 1
 
 
 def test_cohom_sigma0():

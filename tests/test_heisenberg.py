@@ -122,12 +122,6 @@ def test_finab_normalization():
         hb.FinAbGroup((0,))
 
 
-def test_tensor_square():
-    assert hb.tensor_square(0, 8, 6) == 20
-    assert hb.tensor_square(0, 0, 0) == 0
-    assert hb.tensor_square(8, 8, 6) == 28
-
-
 def test_type_from_square():
     assert hb.type_from_square(20).invariants == (10, 10)
     assert hb.type_from_square(8).invariants == (4, 4)
