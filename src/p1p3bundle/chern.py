@@ -7,7 +7,8 @@ and for every rank: twisting by a line bundle, Whitney sums and
 complements, the Chern character by Newton's identities, the Todd class of
 a ring from the Chern classes of its tangent bundle, Euler characteristics
 via Hirzebruch-Riemann-Roch, and the Grothendieck-Riemann-Roch pushforward
-along the projection P1xP1 -> P1.
+along the projection P1xP1 -> P1.  A symbol restricts to a subvariety by
+pulling its Chern classes back along `chow.pullback`.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class BundleSymbol:
             total = total + c
         return total
 
-    def rank_int(self):
-        return int(self.rank.constant())
-
     def __eq__(self, other):
         if not isinstance(other, BundleSymbol):
             return NotImplemented
@@ -73,10 +71,6 @@ def line_bundle(c1):
     if not c1.is_homogeneous(1):
         raise DegreeMismatchError("c1 must be homogeneous of degree 1")
     return BundleSymbol(c1.ring, 1, [c1])
-
-
-def trivial(ring, rank):
-    return BundleSymbol(ring, rank)
 
 
 def serre_bundle(det, locus):
@@ -154,18 +148,12 @@ def whitney_complement(total, sub):
     return BundleSymbol(ring, total.rank - sub.rank, q[1:])
 
 
-def restrict_bundle(bundle, which):
-    """Restrict a P1xP3 symbol to a fiber (see chow.restrict_fiber)."""
-    cs = [chow.restrict_fiber(c, which) for c in bundle.cs]
-    target = cs[0].ring if cs else None
-    dim = target.dimension
-    return BundleSymbol(target, bundle.rank, cs[:dim])
-
-
-def restrict_bundle_to_p1xline(bundle):
-    """Restrict a P1xP3 symbol to P1 x (general line), landing on P1xP1."""
-    cs = [chow.restrict_to_p1xline(c) for c in bundle.cs]
-    return BundleSymbol(chow.p1xp1(), bundle.rank, cs[:2])
+def restrict_bundle(bundle, images):
+    """Pull a symbol back along chow.pullback(., images): the rank and
+    c1, ..., c_dim of the target ring."""
+    c1 = chow.pullback(bundle.c1, images)
+    cs = [chow.pullback(c, images) for c in bundle.cs[1:c1.ring.dimension]]
+    return BundleSymbol(c1.ring, bundle.rank, [c1] + cs)
 
 
 def chern_character(bundle):
@@ -215,13 +203,14 @@ def euler_characteristic(bundle):
 def grr_pushforward(bundle):
     """Virtual pushforward along q: P1xP1 -> P1 killing h1.
 
-    Computes ch(B).(1 + h1) and reads off the h1-linear part: the constant
-    coefficient is the virtual rank of q_!B, the h2 coefficient its virtual
-    first Chern degree.
+    The relative tangent bundle of q is the pullback of T_P1 along the
+    other projection (h -> h1), so ch(B).td(T_q) integrates over the fibers
+    by reading off the h1-linear part: the constant coefficient is the
+    virtual rank of q_!B, the h2 coefficient its virtual first Chern degree.
     """
-    if bundle.ring is not chow.p1xp1():
+    ring = chow.p1xp1()
+    if bundle.ring is not ring:
         raise InvalidParameterError("grr_pushforward expects a bundle on P1xP1")
-    ring = bundle.ring
-    relative_todd = ring.one() + ring.gen("h1")
+    relative_todd = chow.pullback(todd(chow.p1()), (ring.gen("h1"),))
     pushed = chern_character(bundle) * relative_todd
     return pushed.coeff("h1"), pushed.coeff("h1*h2")

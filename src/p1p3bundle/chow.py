@@ -9,7 +9,10 @@ by adding exponents and applying the rewrites; display names such as
 "h1*h3^2" (and "pt" for C0.f) appear only at the name-based surface.
 Each ring also stores the total Chern class of its tangent bundle and
 the canonical class K = -c1(T).  Cycle classes carry ParamPoly
-coefficients so formal twist parameters flow through unchanged.
+coefficients so formal twist parameters flow through unchanged.  Every
+restriction (to a fiber, a line, P1 x line or a Hirzebruch surface) is
+one `pullback`: the ring map fixed by the degree-1 images of the
+generators.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .errors import InvalidParameterError, RingMismatchError
+from .errors import DegreeMismatchError, InvalidParameterError, RingMismatchError
 from .poly import ParamPoly
 
 
@@ -268,45 +271,37 @@ def sigma(e):
     return _with_tangent(ring, ring.one() + 2 * c0 + (e + 2) * f + 4 * ring.gen("pt"))
 
 
-# -- restriction maps ---------------------------------------------------------
+# -- pullback -------------------------------------------------------------------
 
 
-def _ring_map(x, target, images):
-    """Image of x under the ring map sending generator k to generator
-    images[k] of `target`, or to 0 when images[k] is None."""
-    out = {}
+def pullback(x, images):
+    """Image of x under the ring map sending generator k of x.ring to the
+    degree-1 class images[k], all in one target ring (Fulton, Intersection
+    Theory, 8.1).
+
+    The restriction to a subvariety is the pullback along its inclusion:
+    (0, h) restricts P1xP3 to a fiber {t} x P3, (h, 0) to a line P1 x {x},
+    (h1, h2) to P1 x (line), and (alpha f, C0 + beta f) to an embedded
+    Sigma_e.  The images must satisfy the relations of x.ring, as the
+    classes of an inclusion do.
+    """
+    if len(images) != len(x.ring.tops):
+        raise RingMismatchError(
+            "%s has %d generators, got %d images" % (x.ring.name, len(x.ring.tops), len(images))
+        )
+    target = images[0].ring
+    if any(y.ring is not target for y in images):
+        raise RingMismatchError("the images live in different rings")
+    if not all(y.is_homogeneous(1) for y in images):
+        raise DegreeMismatchError("every image of a generator must have degree 1")
+    powers = [[None, y] for y in images]  # powers[k][e] = images[k]^e, as needed
+    out = target.zero()
     for m, c in x.coeffs.items():
-        if any(e and images[k] is None for k, e in enumerate(m)):
-            continue
-        exps = list(target.unit)
-        for k, e in enumerate(m):
+        term = c  # a scalar until the first generator's image multiplies it
+        for y, ps, e in zip(images, powers, m):
             if e:
-                exps[images[k]] += e
-        for b, f in target.reduce(tuple(exps)).items():
-            out[b] = out.get(b, ParamPoly.const(0)) + c * f
-    return GradedClass(target, out)
-
-
-def restrict_fiber(x, which):
-    """Restrict a P1xP3 class to a fiber of one projection.
-
-    horizontal: {t} x P3 (kills h1, renames h3 -> h); vertical: P1 x {x}
-    (kills h3, renames h1 -> h).
-    """
-    if x.ring is not p1xp3():
-        raise RingMismatchError("restrict_fiber expects a class on P1xP3")
-    if which == "horizontal":
-        return _ring_map(x, p3(), (None, 0))
-    if which == "vertical":
-        return _ring_map(x, p1(), (0, None))
-    raise InvalidParameterError("which must be 'horizontal' or 'vertical'")
-
-
-def restrict_to_p1xline(x):
-    """Restrict a P1xP3 class to P1 x (general line in P3), landing in P1xP1.
-
-    h1 -> h1, h3 -> h2, and h3^k -> 0 for k >= 2.
-    """
-    if x.ring is not p1xp3():
-        raise RingMismatchError("restrict_to_p1xline expects a class on P1xP3")
-    return _ring_map(x, p1xp1(), (0, 1))
+                while len(ps) <= e:
+                    ps.append(ps[-1] * y)
+                term = ps[e] * term
+        out = out + term
+    return out

@@ -232,8 +232,10 @@ def _check_lemma42():
     from . import chern, chow
     from .poly import ParamPoly
 
-    restricted = chern.restrict_bundle(chern.abelian_surface_bundle(), "horizontal")
-    ring = restricted.ring
+    # E_t: the pullback to a fiber {t} x P3 (h1 -> 0, h3 -> h)
+    ring = chow.p3()
+    fiber = (ring.zero(), ring.gen("h"))
+    restricted = chern.restrict_bundle(chern.abelian_surface_bundle(), fiber)
     twisted = chern.twist(restricted, ParamPoly.const(-2) * ring.gen("h"))
     c1 = twisted.c1.coeff("h")
     c2 = twisted.c2.coeff("h^2")
@@ -269,9 +271,15 @@ def _check_lemma14_family():
     return _result(computed, "rank1_count=4, constant_line=False, ranks_at_roots=[1, 1, 1, 1]")
 
 
-def _splitting_claim(c1, data, expected):
-    from . import geometry
+def _splitting_claim(line, data, expected):
+    """Splitting type on a line of P1xP3 given by `line`, the multiples of
+    the line's point class h that h1 and h3 pull back to: (0, 1) on a
+    horizontal line {t} x (line), (1, 0) on a vertical line P1 x {x}."""
+    from . import chern, chow, geometry
 
+    h = chow.p1().gen("h")
+    images = tuple(k * h for k in line)
+    c1 = int(chow.degree(chow.pullback(chern.abelian_surface_bundle().c1, images)).constant())
     got = geometry.splitting_from_sections(c1, data).as_pair()
     return _result("splitting=%s" % (got,), "splitting=%s" % (expected,))
 
@@ -282,15 +290,15 @@ def _check_prop61a():
     h0 = cohom.les_solve(
         cohom.LesProblem(a=cohom.CohomTable((0, 0, 0, 0)), b=None, c=(1, None, None, None))
     )[0]
-    return _splitting_claim(4, {2: h0, 3: 0, 4: 0}, (2, 2))
+    return _splitting_claim((0, 1), {2: h0, 3: 0, 4: 0}, (2, 2))
 
 
 def _check_prop61b():
-    return _splitting_claim(2, {1: 1, 2: 0}, (1, 1))
+    return _splitting_claim((1, 0), {1: 1, 2: 0}, (1, 1))
 
 
 def _check_prop62b():
-    return _splitting_claim(4, {4: 1, 5: 0}, (4, 0))
+    return _splitting_claim((0, 1), {4: 1, 5: 0}, (4, 0))
 
 
 def _check_lemma65(r):
@@ -392,7 +400,3 @@ def get_claim(claim_id):
     except KeyError:
         raise UnknownClaimError("unknown claim id %r" % claim_id) from None
 
-
-def run_claim(claim_id):
-    claim = get_claim(claim_id)
-    return claim.check()

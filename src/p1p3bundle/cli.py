@@ -152,7 +152,9 @@ def parse_form(text):
     Each term is read as a coefficient (an int, or a Fraction once one of
     its numbers has a '/') and a {variable: exponent} dict; the terms are
     summed into one dict keyed by monomial, and the result is built as one
-    ParamPoly of Fractions.
+    ParamPoly of Fractions.  An entry is rejected as soon as it starts a
+    term past MAX_DEGREE + 1, the monomial count of a binary form of degree
+    MAX_DEGREE, so an overlong entry costs no more than that many terms.
     """
     global _FORM_NAMES
     if _FORM_NAMES is None:
@@ -163,71 +165,55 @@ def parse_form(text):
         _FORM_NAMES = Fraction, ParamPoly, (pencil.LAMBDA, pencil.MU)
     Fraction, ParamPoly, variables = _FORM_NAMES
     pos = 0
-    terms = {}  # sorted monomial tuple -> coefficient
-    coeff = None  # coefficient of the term being read, None between terms
-    powers = None  # {variable: exponent} of the term being read
-    sign = 1  # of the next term; read only when a term starts
-    pending_sign = False
-    expect_factor = False
-
-    def flush():
-        nonlocal coeff
-        if coeff is not None:
-            mono = tuple(sorted((v, e) for v, e in powers.items() if e))
-            terms[mono] = terms.get(mono, 0) + coeff
-            coeff = None
-
+    read = []  # [coefficient, {variable: exponent}] of each term so far
+    sign = 1  # of the next term
+    state = "start"  # or "sign", "factor", "star": the kind of the last token
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if not match or match.end() == pos:
             raise PencilParseError("cannot parse %r at position %d" % (text, pos))
         pos = match.end()
         kind = match.lastgroup  # 'exp' for a variable with an exponent
-        if kind == "var" or kind == "exp":
-            pending_sign = False
-            name = match.group("var")
-            if name not in variables:
-                raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (name, text))
-            if coeff is not None and not expect_factor:
-                raise PencilParseError("missing '*' before %r in %r" % (name, text))
-            exponent = 1 if kind == "var" else _number(int, match.group("exp"))
-            if coeff is None:
-                coeff, powers = sign, {name: exponent}
-            else:
-                powers[name] = powers.get(name, 0) + exponent
-            expect_factor = False
-        elif kind == "num":
-            pending_sign = False
-            digits = match.group("num")
-            if coeff is not None and not expect_factor:
-                raise PencilParseError("missing '*' before %r in %r" % (digits, text))
-            if "/" in digits:
-                try:
-                    value = _number(Fraction, digits)
-                except ZeroDivisionError:
-                    raise PencilParseError("zero denominator in %r" % text) from None
-            else:
-                value = _number(int, digits)
-            if coeff is None:
-                coeff, powers = sign * value, {}
-            else:
-                coeff *= value
-            expect_factor = False
-        elif kind == "star":
-            if coeff is None or expect_factor:
+        if kind == "star":
+            if state != "factor":
                 raise PencilParseError("misplaced '*' in %r" % text)
-            expect_factor = True
-        else:  # sign
-            if expect_factor or pending_sign:
+            state = "star"
+            continue
+        if kind == "sign":
+            if state == "sign" or state == "star":
                 raise PencilParseError("misplaced sign in %r" % text)
-            flush()
             sign = 1 if match.group("sign") == "+" else -1
-            pending_sign = True
-    if expect_factor:
+            state = "sign"
+            continue
+        token = match.group("num") if kind == "num" else match.group("var")
+        if kind != "num" and token not in variables:
+            raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (token, text))
+        if state == "factor":
+            raise PencilParseError("missing '*' before %r in %r" % (token, text))
+        if state != "star":  # the factor starts a term
+            if len(read) > MAX_DEGREE:
+                raise PencilParseError("entry has more than %d terms" % (MAX_DEGREE + 1))
+            read.append([sign, {}])
+        term = read[-1]
+        if kind != "num":
+            exponent = 1 if kind == "var" else _number(int, match.group("exp"))
+            term[1][token] = term[1].get(token, 0) + exponent
+        elif "/" in token:
+            try:
+                term[0] *= _number(Fraction, token)
+            except ZeroDivisionError:
+                raise PencilParseError("zero denominator in %r" % text) from None
+        else:
+            term[0] *= _number(int, token)
+        state = "factor"
+    if state == "star":
         raise PencilParseError("dangling '*' in %r" % text)
-    if pending_sign:
+    if state == "sign":
         raise PencilParseError("dangling sign in %r" % text)
-    flush()
+    terms = {}  # sorted monomial tuple -> coefficient
+    for coeff, powers in read:
+        mono = tuple(sorted((v, e) for v, e in powers.items() if e))
+        terms[mono] = terms.get(mono, 0) + coeff
     return ParamPoly({mono: Fraction(c) for mono, c in terms.items() if c})
 
 

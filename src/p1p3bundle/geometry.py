@@ -91,9 +91,9 @@ def double_structure_identity(e):
 
     Assembles chi(E(a,b)) from the restriction sequences of the double
     structure Y on Z = Sigma_e, then subtracts the golden Riemann-Roch
-    polynomial.  With (alpha, beta) the embedding of Z (h1|Z = alpha f and
-    h3|Z = C0 + beta f), the twist (p, q) = (a + d, b + 2) restricts to
-    q C0 + (alpha p + beta q) f.
+    polynomial.  With (alpha, beta) the embedding of Z, the twist
+    O(p, q), (p, q) = (a + d, b + 2), restricts to Z by the pullback along
+    h1 -> alpha f, h3 -> C0 + beta f, which is q C0 + (alpha p + beta q) f.
     """
     embeddings = {emb.e: emb for emb in classify_embeddings(2)}
     if e not in embeddings:
@@ -109,11 +109,12 @@ def double_structure_identity(e):
         return chern.euler_characteristic(chern.line_bundle(line_class))
 
     p, q = a + d, b + 2
+    twist = chow.pullback(p * h1 + q * h3, (alpha * f, c0 + beta * f))
     return (
         chi((a - d + 2) * h1 + q * h3)
         + chi(p * h1 + q * h3)
-        - chi((x + q) * c0 + (y + alpha * p + beta * q) * f)
-        - chi(q * c0 + (alpha * p + beta * q) * f)
+        - chi(x * c0 + y * f + twist)
+        - chi(twist)
         - rr_polynomial()
     )
 
@@ -225,9 +226,9 @@ def splitting_from_sections(c1, section_twists):
 
 def restricted_twisted_bundle():
     """E restricted to P1 x (general line), twisted by O(-2,-2)."""
-    ring = chow.p1xp1()
-    restricted = chern.restrict_bundle_to_p1xline(chern.abelian_surface_bundle())
-    return chern.twist(restricted, -2 * ring.gen("h1") - 2 * ring.gen("h2"))
+    h1, h2 = chow.p1xp1().gen("h1"), chow.p1xp1().gen("h2")
+    restricted = chern.restrict_bundle(chern.abelian_surface_bundle(), (h1, h2))
+    return chern.twist(restricted, -2 * h1 - 2 * h2)
 
 
 def resolution_summands(r):

@@ -115,9 +115,6 @@ class QuadricPencil:
                     entries[i][j] = entries[i][j] + v[i] * v[j]
         return QuadricPencil(entries)
 
-    def is_zero(self):
-        return all(p.is_zero() for row in self.entries for p in row)
-
     @staticmethod
     def degree4_witness():
         """A degree-4 pencil of generic rank 2 with four rank-1 parameters.

@@ -137,7 +137,8 @@ def test_criterion_11_les_solver_and_genus():
         b=None,
         c=(1, None, None, None),
     ))[0]
-    et = chern.restrict_bundle(chern.abelian_surface_bundle(), "horizontal")
+    p3 = chow.p3()
+    et = chern.restrict_bundle(chern.abelian_surface_bundle(), (p3.zero(), p3.gen("h")))
     twisted = chern.twist(et, ParamPoly.const(-2) * et.ring.gen("h"))
     c1 = twisted.c1.coeff("h").constant()
     c2 = twisted.c2.coeff("h^2").constant()
@@ -209,7 +210,7 @@ def test_every_claim_matches_the_golden_snapshot():
                         .read_text(encoding="utf-8"))
     assert sorted(golden) == claims.all_ids()
     for claim_id in claims.all_ids():
-        result = claims.run_claim(claim_id)
+        result = claims.get_claim(claim_id).check()
         got = {"status": "PASS" if result.ok else "FAIL", "computed": result.computed,
                "expected": result.expected}
         assert got == golden[claim_id], claim_id

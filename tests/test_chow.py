@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p1p3bundle import chow
-from p1p3bundle.errors import InvalidParameterError, RingMismatchError
+from p1p3bundle.errors import DegreeMismatchError, InvalidParameterError, RingMismatchError
 from p1p3bundle.poly import ParamPoly
 
 
@@ -75,8 +77,8 @@ def test_tangent_chern_of_p1xp3():
 def test_restrict_fiber_horizontal():
     ring = chow.p1xp3()
     x = 2 * ring.gen("h1") + 4 * ring.gen("h3") + ring.gen("h3") ** 2
-    r = chow.restrict_fiber(x, "horizontal")
-    assert r.ring.name == chow.p3().name
+    r = chow.pullback(x, (chow.p3().zero(), chow.p3().gen("h")))
+    assert r.ring is chow.p3()
     assert r.coeff("h") == ParamPoly.const(4)
     assert r.coeff("h^2") == ParamPoly.const(1)
 
@@ -84,20 +86,72 @@ def test_restrict_fiber_horizontal():
 def test_restrict_fiber_vertical():
     ring = chow.p1xp3()
     x = 3 * ring.gen("h1") + 5 * ring.gen("h3")
-    r = chow.restrict_fiber(x, "vertical")
-    assert r.ring.name == chow.p1().name
+    r = chow.pullback(x, (chow.p1().gen("h"), chow.p1().zero()))
+    assert r.ring is chow.p1()
     assert r.coeff("h") == ParamPoly.const(3)
 
 
 def test_restrict_to_p1xline():
     ring = chow.p1xp3()
     x = 2 * ring.gen("h1") + 4 * ring.gen("h3") + 7 * ring.gen("h3") ** 2
-    r = chow.restrict_to_p1xline(x)
-    assert r.ring.name == chow.p1xp1().name
+    r = chow.pullback(x, (chow.p1xp1().gen("h1"), chow.p1xp1().gen("h2")))
+    assert r.ring is chow.p1xp1()
     assert r.coeff("h1") == ParamPoly.const(2)
     assert r.coeff("h2") == ParamPoly.const(4)
     # classes of codimension >= 2 in the P3 factor die on a line
     assert r.coeff("h1*h2").is_zero()
+
+
+def _inclusions():
+    """The P1xP3 pullbacks the checks use: a fiber {t} x P3, a vertical line
+    P1 x {x}, P1 x (line), and the embedded Sigma_0 and Sigma_2 with
+    h1 -> alpha f, h3 -> C0 + beta f for (alpha, beta) = (1, 1), (1, 2)."""
+    p3, p1, p1xp1 = chow.p3(), chow.p1(), chow.p1xp1()
+    maps = {
+        "fiber": (p3.zero(), p3.gen("h")),
+        "vertical line": (p1.gen("h"), p1.zero()),
+        "P1 x line": (p1xp1.gen("h1"), p1xp1.gen("h2")),
+    }
+    for e, beta in ((0, 1), (2, 2)):
+        c0, f = chow.sigma(e).gen("C0"), chow.sigma(e).gen("f")
+        maps["Sigma_%d" % e] = (f, c0 + beta * f)
+    return maps
+
+
+@st.composite
+def _p1xp3_classes(draw):
+    # each basis coefficient is u + v t with small ints u, v and a formal t
+    ring, t = chow.p1xp3(), ParamPoly.var("t")
+    out = ring.zero()
+    for m in ring.monomials:
+        u, v = draw(st.integers(-3, 3)), draw(st.integers(-2, 2))
+        out = out + chow.GradedClass(ring, {m: ParamPoly.const(u) + v * t})
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_p1xp3_classes(), _p1xp3_classes(), st.sampled_from(sorted(_inclusions())))
+def test_pullback_respects_one_sum_and_product(x, y, name):
+    images = _inclusions()[name]
+    target = images[0].ring
+    assert chow.pullback(chow.p1xp3().one(), images) == target.one()
+    assert chow.pullback(x + y, images) == chow.pullback(x, images) + chow.pullback(y, images)
+    assert chow.pullback(x * y, images) == chow.pullback(x, images) * chow.pullback(y, images)
+
+
+def test_pullback_rejects_images_that_do_not_fit():
+    x = chow.p1xp3().gen("h1")
+    p1, p3 = chow.p1(), chow.p3()
+    with pytest.raises(RingMismatchError):
+        chow.pullback(x, (p3.gen("h"),))
+    with pytest.raises(RingMismatchError):
+        chow.pullback(x, (p3.gen("h"), p3.gen("h"), p3.gen("h")))
+    with pytest.raises(RingMismatchError):
+        chow.pullback(x, (p1.gen("h"), p3.gen("h")))
+    with pytest.raises(DegreeMismatchError):
+        chow.pullback(x, (p3.zero(), p3.gen("h^2")))
+    with pytest.raises(DegreeMismatchError):
+        chow.pullback(x, (p3.zero(), p3.one() + p3.gen("h")))
 
 
 def test_graded_parts():

@@ -475,6 +475,25 @@ def test_pencil_non_ascii_digits_are_rejected(tmp_path, capsys):
     assert _pencil_exit(f, capsys)[0] == 2
 
 
+def test_pencil_entry_term_cap(tmp_path, capsys):
+    cap = cli.MAX_DEGREE + 1  # the monomials of a binary form of degree MAX_DEGREE
+    full = " + ".join("l^%d*m^%d" % (i, cli.MAX_DEGREE - i) for i in range(cap))
+    assert len(cli.parse_form(full).terms) == cap
+    assert cli.parse_form("+".join(["0"] * cap)).is_zero()
+    message = "entry has more than %d terms" % cap
+    with pytest.raises(PencilParseError, match=message):
+        cli.parse_form("+".join(["0"] * (cap + 1)))
+    f = tmp_path / "pencil.txt"
+    _write_pencil(f, "degree %d" % cli.MAX_DEGREE, [full] + ["0"] * 9)
+    code, captured = _pencil_exit(f, capsys)
+    assert code == 0 and captured.out.startswith("degree: %d\n" % cli.MAX_DEGREE)
+    # rejected after 102 terms, without echoing the 600 kB entry
+    _write_pencil(f, "degree 1", ["+".join(["0"] * 300000)] + ["0"] * 9)
+    code, captured = _pencil_exit(f, capsys)
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 # Pencil files drawn from the grammar's alphabet, plus Unicode digits and
 # bytes that are not UTF-8.  Most lines are well formed, so that parsing
 # and the rank analysis are reached; header numbers have at most three

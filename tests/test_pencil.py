@@ -34,7 +34,7 @@ def test_matrix_validation():
 
 def test_zero_pencil():
     p = QuadricPencil([[0] * 4 for _ in range(4)])
-    assert p.is_zero()
+    assert all(e.is_zero() for row in p.entries for e in row)
     assert p.generic_rank() == 0
 
 
