@@ -283,7 +283,8 @@ def pullback(x, images):
     (0, h) restricts P1xP3 to a fiber {t} x P3, (h, 0) to a line P1 x {x},
     (h1, h2) to P1 x (line), and (alpha f, C0 + beta f) to an embedded
     Sigma_e.  The images must satisfy the relations of x.ring, as the
-    classes of an inclusion do.
+    classes of an inclusion do: images[k]^(top+1) must be the image of
+    the rewrite of generator k, else RingMismatchError.
     """
     if len(images) != len(x.ring.tops):
         raise RingMismatchError(
@@ -295,13 +296,23 @@ def pullback(x, images):
     if not all(y.is_homogeneous(1) for y in images):
         raise DegreeMismatchError("every image of a generator must have degree 1")
     powers = [[None, y] for y in images]  # powers[k][e] = images[k]^e, as needed
-    out = target.zero()
-    for m, c in x.coeffs.items():
-        term = c  # a scalar until the first generator's image multiplies it
-        for y, ps, e in zip(images, powers, m):
-            if e:
-                while len(ps) <= e:
-                    ps.append(ps[-1] * y)
-                term = ps[e] * term
-        out = out + term
-    return out
+
+    def image(coeffs):
+        out = target.zero()
+        for m, c in coeffs.items():
+            term = c  # a scalar until the first generator's image multiplies it
+            for y, ps, e in zip(images, powers, m):
+                if e:
+                    while len(ps) <= e:
+                        ps.append(ps[-1] * y)
+                    term = ps[e] * term
+            out = out + term
+        return out
+
+    for k, top in enumerate(x.ring.tops):
+        relation = tuple(top + 1 if i == k else 0 for i in range(len(images)))
+        if image({relation: 1}) != image(x.ring.rewrites.get(k, {})):
+            raise RingMismatchError(
+                "the images break the relation of generator %d of %s" % (k, x.ring.name)
+            )
+    return image(x.coeffs)

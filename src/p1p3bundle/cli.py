@@ -9,8 +9,8 @@ check imports its own (see `claims`), so a single `verify --claim` or
 `calc` process compiles and loads only what that command needs.
 
 `parse_form` reads each pencil entry term by term into an int (or, where
-a number has a '/', Fraction) coefficient and an exponent dict, and builds
-one ParamPoly per entry from the summed terms.
+a number has a '/', Fraction) coefficient and the exponents of l and m,
+and returns the summed terms as the coefficient tuple `pencil` stores.
 """
 
 from __future__ import annotations
@@ -141,31 +141,20 @@ def _number(convert, digits):
         raise PencilParseError("number of %d characters is too long" % len(digits)) from None
 
 
-# (Fraction, ParamPoly, pencil variables): imported by the first parse_form
-# call, not with this module, and kept so that no import runs per entry
-_FORM_NAMES = None
-
-
-def parse_form(text):
-    """Parse a polynomial in l, m like '3*l^2*m - 1/2*m^3' into a ParamPoly.
+def parse_form(text, degree):
+    """Parse a binary form of degree `degree` in l, m, like
+    '3*l^2*m - 1/2*m^3', into its degree + 1 coefficients (index i holds
+    that of l^i*m^(degree-i)).
 
     Each term is read as a coefficient (an int, or a Fraction once one of
-    its numbers has a '/') and a {variable: exponent} dict; the terms are
-    summed into one dict keyed by monomial, and the result is built as one
-    ParamPoly of Fractions.  An entry is rejected as soon as it starts a
+    its numbers has a '/') and the exponents of l and m; the terms are
+    summed by exponents, and a nonzero sum whose exponents do not add up
+    to `degree` is rejected.  An entry is rejected as soon as it starts a
     term past MAX_DEGREE + 1, the monomial count of a binary form of degree
     MAX_DEGREE, so an overlong entry costs no more than that many terms.
     """
-    global _FORM_NAMES
-    if _FORM_NAMES is None:
-        from fractions import Fraction
-        from . import pencil
-        from .poly import ParamPoly
-
-        _FORM_NAMES = Fraction, ParamPoly, (pencil.LAMBDA, pencil.MU)
-    Fraction, ParamPoly, variables = _FORM_NAMES
     pos = 0
-    read = []  # [coefficient, {variable: exponent}] of each term so far
+    read = []  # [coefficient, exponent of l, exponent of m] of each term so far
     sign = 1  # of the next term
     state = "start"  # or "sign", "factor", "star": the kind of the last token
     while pos < len(text):
@@ -186,19 +175,20 @@ def parse_form(text):
             state = "sign"
             continue
         token = match.group("num") if kind == "num" else match.group("var")
-        if kind != "num" and token not in variables:
+        if kind != "num" and token not in ("l", "m"):
             raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (token, text))
         if state == "factor":
             raise PencilParseError("missing '*' before %r in %r" % (token, text))
         if state != "star":  # the factor starts a term
             if len(read) > MAX_DEGREE:
                 raise PencilParseError("entry has more than %d terms" % (MAX_DEGREE + 1))
-            read.append([sign, {}])
+            read.append([sign, 0, 0])
         term = read[-1]
         if kind != "num":
-            exponent = 1 if kind == "var" else _number(int, match.group("exp"))
-            term[1][token] = term[1].get(token, 0) + exponent
+            term[1 if token == "l" else 2] += 1 if kind == "var" else _number(int, match.group("exp"))
         elif "/" in token:
+            from fractions import Fraction  # not at module load: most entries have no '/'
+
             try:
                 term[0] *= _number(Fraction, token)
             except ZeroDivisionError:
@@ -210,11 +200,16 @@ def parse_form(text):
         raise PencilParseError("dangling '*' in %r" % text)
     if state == "sign":
         raise PencilParseError("dangling sign in %r" % text)
-    terms = {}  # sorted monomial tuple -> coefficient
-    for coeff, powers in read:
-        mono = tuple(sorted((v, e) for v, e in powers.items() if e))
-        terms[mono] = terms.get(mono, 0) + coeff
-    return ParamPoly({mono: Fraction(c) for mono, c in terms.items() if c})
+    sums = {}  # (exponent of l, exponent of m) -> coefficient
+    for coeff, el, em in read:
+        sums[el, em] = sums.get((el, em), 0) + coeff
+    form = [0] * (degree + 1)
+    for (el, em), c in sums.items():
+        if c:
+            if el + em != degree:
+                raise PencilParseError("%r is not a form of degree %d" % (text, degree))
+            form[el] = c
+    return tuple(form)
 
 
 def load_pencil(path):
@@ -247,13 +242,8 @@ def load_pencil(path):
 
     entries = [[None] * 4 for _ in range(4)]  # ENTRY_ORDER and symmetry fill all 16
     for (i, j), text in zip(ENTRY_ORDER, body):
-        p = parse_form(text)
-        entries[i][j] = p
-        entries[j][i] = p
-    try:
-        return pencil.QuadricPencil(entries, degree=degree)
-    except ArtifactError as exc:
-        raise PencilParseError(str(exc)) from exc
+        entries[i][j] = entries[j][i] = parse_form(text, degree)
+    return pencil.QuadricPencil(entries)
 
 
 # -- argument parsing -------------------------------------------------------------

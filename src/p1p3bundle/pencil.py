@@ -1,15 +1,16 @@
 """Rational pencils of quadrics in P3.
 
-A pencil is a 4x4 symmetric matrix of homogeneous binary forms in (l, m)
-of a common degree d.  Everything is computed from one integer matrix per
-pencil (the chart m = 1, rows cleared of denominators) and its 36 integer
-2x2 minors: the generic rank over the function field of the parameter
-line (fraction-free Bareiss elimination over Z[l]), the pointwise rank
-(the same elimination on the matrix evaluated at the point), the rank-1
-parameter locus (distinct projective roots of the gcd of the minors,
-including the root at infinity, by a primitive gcd and radical over Z),
-and the family of singular lines of a rank-2 pencil (Plücker coordinates,
-the Hodge dual of a row pair's minors).
+A pencil is a 4x4 symmetric matrix of binary forms in (l, m) of one
+degree d, each entry a tuple of d + 1 rational coefficients (index i
+holds the coefficient of l^i*m^(d-i)).  Everything is computed from one
+integer matrix per pencil (the chart m = 1, rows cleared of denominators)
+and its 36 integer 2x2 minors: the generic rank over the function field
+of the parameter line (fraction-free Bareiss elimination over Z[l]), the
+pointwise rank (the same elimination on the matrix evaluated at the
+point), the rank-1 parameter locus (distinct projective roots of the gcd
+of the minors, including the root at infinity, by a primitive gcd and
+radical over Z), and the family of singular lines of a rank-2 pencil
+(Plücker coordinates, the Hodge dual of a row pair's minors).
 """
 
 from __future__ import annotations
@@ -19,16 +20,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import add
 
 from .errors import (
     InvalidParameterError,
     RankMismatchError,
     RankTooHighError,
 )
-from .poly import ParamPoly, _c_gcd, _c_radical, _strip, _z_mul, _z_sub, bareiss_rank
-
-LAMBDA = "l"
-MU = "m"
+from .poly import _c_gcd, _c_radical, _strip, _z_mul, _z_sub, bareiss_rank
 
 # Index pairs a < b of the 2x2 minors and of Plücker coordinates.  The
 # complement of PAIRS[k] is PAIRS[5 - k]; _HODGE_SIGNS[k] is the sign of the
@@ -48,54 +47,37 @@ class WholeLine:
 WHOLE_LINE = WholeLine()
 
 
-def _coerce_poly(x):
-    return x if isinstance(x, ParamPoly) else ParamPoly.const(x)
+def _form_mul(f, g):
+    """The product of two binary forms given as coefficient tuples."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 class QuadricPencil:
-    """4x4 symmetric matrix of homogeneous forms of degree d in (l, m)."""
+    """4x4 symmetric matrix of binary forms of degree d in (l, m), each a
+    tuple of d + 1 coefficients (int or Fraction) with l^i*m^(d-i) at i."""
 
-    def __init__(self, entries, degree=None):
-        rows = [[_coerce_poly(x) for x in row] for row in entries]
+    def __init__(self, entries):
+        rows = tuple(tuple(tuple(f) for f in row) for row in entries)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise InvalidParameterError("pencil matrix must be 4x4")
-        for i in range(4):
-            for j in range(4):
-                if rows[i][j] != rows[j][i]:
-                    raise InvalidParameterError("pencil matrix must be symmetric")
-        degrees = set()
-        for row in rows:
-            for p in row:
-                if p.is_zero():
-                    continue
-                if any(v not in (LAMBDA, MU) for v in p.variables()):
-                    raise InvalidParameterError("pencil entries must be forms in (l, m)")
-                ds = {sum(e for _, e in mono) for mono in p.terms}
-                if len(ds) != 1:
-                    raise InvalidParameterError("pencil entries must be homogeneous")
-                degrees |= ds
-        if len(degrees) > 1:
-            raise InvalidParameterError("pencil entries must share one degree")
-        nonzero = bool(degrees)
-        inferred = degrees.pop() if degrees else 0
-        if degree is None:
-            degree = inferred
-        elif nonzero and degree != inferred:
-            raise InvalidParameterError("declared degree does not match the entries")
-        self.entries = tuple(tuple(r) for r in rows)
-        self.degree = degree
+        lengths = {len(f) for row in rows for f in row}
+        if len(lengths) != 1 or 0 in lengths:
+            raise InvalidParameterError("pencil entries must be nonempty tuples of one length")
+        if any(rows[i][j] != rows[j][i] for i in range(4) for j in range(i)):
+            raise InvalidParameterError("pencil matrix must be symmetric")
+        self.entries = rows
+        self.degree = lengths.pop() - 1
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def linear(q0, q1):
         """The linear pencil l*Q0 + m*Q1 from two rational symmetric matrices."""
-        l, m = ParamPoly.var(LAMBDA), ParamPoly.var(MU)
-        entries = [
-            [l * Fraction(q0[i][j]) + m * Fraction(q1[i][j]) for j in range(4)]
-            for i in range(4)
-        ]
-        return QuadricPencil(entries, degree=1)
+        return QuadricPencil([[(q1[i][j], q0[i][j]) for j in range(4)] for i in range(4)])
 
     @staticmethod
     def rank2_normal_form(a0, a1, a2):
@@ -103,17 +85,6 @@ class QuadricPencil:
         q1 = [[a0, a1, 0, 0], [a1, a2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         q0 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         return QuadricPencil.linear(q1, q0)
-
-    @staticmethod
-    def from_vectors(*vectors):
-        """Sum of v.v^T over vectors of binary forms (a rank-<=len pencil)."""
-        vs = [[_coerce_poly(x) for x in v] for v in vectors]
-        entries = [[ParamPoly.const(0)] * 4 for _ in range(4)]
-        for v in vs:
-            for i in range(4):
-                for j in range(4):
-                    entries[i][j] = entries[i][j] + v[i] * v[j]
-        return QuadricPencil(entries)
 
     @staticmethod
     def degree4_witness():
@@ -125,37 +96,31 @@ class QuadricPencil:
         four roots of s0*s1 and the singular line moves with the
         parameter (kernel spanned by (m,-l,0,0) and (0,0,m,-l)).
         """
-        l, m = ParamPoly.var(LAMBDA), ParamPoly.var(MU)
-        u = [l, m, ParamPoly.const(0), ParamPoly.const(0)]
-        z = [ParamPoly.const(0), ParamPoly.const(0), l, m]
-        s0 = l * m
-        s1 = l * l - m * m
-        entries = [
-            [s0 * u[i] * u[j] + s1 * z[i] * z[j] for j in range(4)]
+        l, m, zero = (0, 1), (1, 0), (0, 0)
+        u = (l, m, zero, zero)
+        z = (zero, zero, l, m)
+        s0, s1 = (0, 1, 0), (-1, 0, 1)
+        return QuadricPencil([
+            [tuple(map(add, _form_mul(s0, _form_mul(u[i], u[j])),
+                       _form_mul(s1, _form_mul(z[i], z[j])))) for j in range(4)]
             for i in range(4)
-        ]
-        return QuadricPencil(entries, degree=4)
+        ])
 
     # -- rank analysis ------------------------------------------------------
 
     @cached_property
     def _z_matrix(self):
-        # The chart m = 1, read from the terms: the coefficient of l^i*m^(d-i)
-        # goes to index i (a nonzero form stays nonzero).  Each row is scaled
-        # by the lcm of its denominators; a nonzero rational row scale keeps
-        # the rank, the kernel, and the roots and the infinity multiplicity
-        # of every 2x2 minor.  (The lcm takes a list: unpacking a generator
-        # there made the peak RSS grow with every pencil on CPython 3.11.)
+        # The chart m = 1: coefficient i of an entry is that of l^i.  Each row
+        # is scaled by the lcm of its denominators (an int has denominator 1);
+        # a nonzero rational row scale keeps the rank, the kernel, and the
+        # roots and the infinity multiplicity of every 2x2 minor.  (The lcm
+        # takes a list: unpacking a generator there made the peak RSS grow
+        # with every pencil on CPython 3.11.)
         matrix = []
         for row in self.entries:
-            scale = lcm(*[c.denominator for p in row for c in p.terms.values()])
-            z_row = []
-            for p in row:
-                coeffs = [0] * (p.degree_in(LAMBDA) + 1)
-                for mono, c in p.terms.items():
-                    coeffs[dict(mono).get(LAMBDA, 0)] = c.numerator * (scale // c.denominator)
-                z_row.append(tuple(_strip(coeffs)))
-            matrix.append(tuple(z_row))
+            scale = lcm(*[c.denominator for f in row for c in f])
+            matrix.append(tuple(tuple(_strip([c.numerator * (scale // c.denominator) for c in f]))
+                                for f in row))
         return tuple(matrix)
 
     @cached_property

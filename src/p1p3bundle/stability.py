@@ -50,11 +50,9 @@ def _slope_value(line, pol):
 
 
 def slope_dot(line, pol):
-    """L . H^3 for L = O(a, b) and H = O(m, n), computed in the Chow ring."""
-    a, b = line
-    if isinstance(a, int) and isinstance(b, int):
-        return ParamPoly.const(_slope_value(line, pol))
-    return _slope_poly().subs({"a": a, "b": b, "m": pol.m, "n": pol.n})
+    """L . H^3 for L = O(a, b) with int a, b and H = O(m, n), computed in
+    the Chow ring, as a constant ParamPoly."""
+    return ParamPoly.const(_slope_value(line, pol))
 
 
 def subsheaf_status(p, q):

@@ -154,6 +154,17 @@ def test_pullback_rejects_images_that_do_not_fit():
         chow.pullback(x, (p3.zero(), p3.one() + p3.gen("h")))
 
 
+def test_pullback_rejects_images_that_break_the_relations():
+    # on Sigma_2, C0^2 = -2 C0.f, but on P1xP1 h1^2 = 0 while h1*h2 != 0
+    p1xp1 = chow.p1xp1()
+    with pytest.raises(RingMismatchError, match="relation of generator 0 of Sigma"):
+        chow.pullback(chow.sigma(2).gen("C0"), (p1xp1.gen("h1"), p1xp1.gen("h2")))
+    # the inclusions the package uses satisfy every relation
+    for images in _inclusions().values():
+        assert chow.pullback(chow.p1xp3().gen("h3") ** 3, images).ring is images[0].ring
+    assert chow.pullback(chow.p1().gen("h"), (p1xp1.gen("h1"),)) == p1xp1.gen("h1")
+
+
 def test_graded_parts():
     ring = chow.p1xp3()
     x = ring.one() + ring.gen("h1") + ring.gen("h3") ** 2

@@ -96,28 +96,57 @@ def test_calc_slope(capsys):
 
 
 def test_parse_form():
-    l, m = ParamPoly.var("l"), ParamPoly.var("m")
-    assert cli.parse_form("3*l^2*m - 1/2*m^3") == 3 * l * l * m - Fraction(1, 2) * (m ** 3)
-    assert cli.parse_form("0").is_zero()
-    assert cli.parse_form("-l") == -l
-    assert cli.parse_form("l*m + m*l") == 2 * l * m
+    assert cli.parse_form("3*l^2*m - 1/2*m^3", 3) == (Fraction(-1, 2), 0, 3, 0)
+    assert cli.parse_form("0", 2) == (0, 0, 0)
+    assert cli.parse_form("-l", 1) == (0, -1)
+    assert cli.parse_form("l*m + m*l", 2) == (0, 2, 0)
+    assert cli.parse_form("l - l + m^3", 3) == (1, 0, 0, 0)  # cancelled terms are dropped
+    for text, degree in [("l + l*m", 1), ("l + l*m", 2), ("l", 2), ("x^0*l", 1)]:
+        with pytest.raises(PencilParseError):
+            cli.parse_form(text, degree)
+    with pytest.raises(PencilParseError, match=re.escape("'l + l*m' is not a form of degree 2")):
+        cli.parse_form("l + l*m", 2)
+
+
+def _coefficients(p, degree):
+    """The coefficient tuple of a ParamPoly in l and m, or None unless it
+    is a binary form of `degree` (zero is a form of every degree)."""
+    out = [0] * (degree + 1)
+    for mono, c in p.terms.items():
+        powers = dict(mono)
+        if sum(powers.values()) != degree:
+            return None
+        out[powers.get("l", 0)] = c
+    return tuple(out)
 
 
 @st.composite
 def _forms(draw):
-    """Polynomials in l and m with rational coefficients, homogeneous or not."""
+    """(ParamPoly in l and m with rational coefficients, degree d): mostly a
+    form of degree d, sometimes with a monomial of another degree."""
+    degree = draw(st.integers(0, 6))
     terms = {}
     for _ in range(draw(st.integers(0, 5))):
-        exps = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+        if draw(st.integers(0, 5)):
+            i = draw(st.integers(0, degree))
+            exps = (i, degree - i)
+        else:
+            exps = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
         mono = tuple((v, e) for v, e in zip("lm", exps) if e)
         terms[mono] = draw(st.fractions(min_value=-50, max_value=50, max_denominator=12))
-    return ParamPoly(terms)
+    return ParamPoly(terms), degree
 
 
 @settings(max_examples=300, deadline=None)
 @given(_forms())
-def test_parse_form_round_trips_str(p):
-    assert cli.parse_form(str(p)) == p
+def test_parse_form_round_trips_str(form):
+    p, degree = form
+    want = _coefficients(p, degree)
+    if want is None:
+        with pytest.raises(PencilParseError, match="is not a form of degree %d" % degree):
+            cli.parse_form(str(p), degree)
+    else:
+        assert cli.parse_form(str(p), degree) == want
 
 
 def _reference_parse_form(text):
@@ -226,32 +255,38 @@ def _grammar_strings(draw):
 
 
 @settings(max_examples=1500, deadline=None)
-@given(_grammar_strings())
-def test_parse_form_agrees_with_the_per_token_parser(text):
-    got = _outcome(cli.parse_form, text)
-    assert got == _outcome(_reference_parse_form, text)
-    if isinstance(got, ParamPoly):
-        # so that constant() is never an int, which `/` would turn into a float
-        assert all(type(c) is Fraction for c in got.terms.values())
+@given(_grammar_strings(), st.integers(0, 8))
+def test_parse_form_agrees_with_the_per_token_parser(text, degree):
+    # a homogeneous reference result is compared at its own degree, zero at
+    # the drawn one; any other must be rejected as not a form of that degree
+    want = _outcome(_reference_parse_form, text)
+    if isinstance(want, ParamPoly):
+        degrees = {sum(e for _, e in mono) for mono in want.terms}
+        if len(degrees) == 1:
+            degree = degrees.pop()
+        want = _coefficients(want, degree)
+        if want is None:
+            want = "error: %r is not a form of degree %d" % (text, degree)
+    assert _outcome(lambda t: cli.parse_form(t, degree), text) == want
 
 
-def test_parse_form_builds_one_poly_per_entry(monkeypatch):
-    cli.parse_form("0")  # the first call binds the names parse_form uses
-    calls = {"init": 0, "mul": 0, "add": 0}
-    init, mul, add = ParamPoly.__init__, ParamPoly.__mul__, ParamPoly.__add__
+def test_pencil_rank_builds_no_parampoly(tmp_path, monkeypatch):
+    # entries stay coefficient tuples from the parser to the rank analysis
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ParamPoly was built")
 
-    def counting(key, method):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return method(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(ParamPoly, "__init__", counting("init", init))
-    monkeypatch.setattr(ParamPoly, "__mul__", counting("mul", mul))
-    monkeypatch.setattr(ParamPoly, "__add__", counting("add", add))
-    p = cli.parse_form("3*l^2*m - 1/2*m*l*l + 2*l*l*m - m^3 + 7/7*l^0*m^3")
-    assert calls == {"init": 1, "mul": 0, "add": 0}
-    assert p.terms == {(("l", 2), ("m", 1)): Fraction(9, 2)}
+    monkeypatch.setattr(ParamPoly, "__init__", refuse)
+    f = tmp_path / "pencil.txt"
+    _write_pencil(f, "degree 2", [
+        "l^2 - 1/2*m*l", "l*m", "0", "0",
+        "m^2 + 3*m*m", "0", "0",
+        "0", "0",
+        "0",
+    ])
+    p = cli.load_pencil(str(f))
+    assert p.entries[0][0] == (0, Fraction(-1, 2), 1)
+    assert p.generic_rank() == 2
+    assert p.rank1_parameter_count() == 3  # the roots of l*m^2*(3*l - 2*m)
 
 
 def test_parse_form_rejects_garbage():
@@ -272,7 +307,7 @@ def test_parse_form_rejects_garbage():
     ]
     for text, message in cases:
         with pytest.raises(PencilParseError, match=re.escape(message)):
-            cli.parse_form(text)
+            cli.parse_form(text, 1)
 
 
 def _write_pencil(path, header, lines):
@@ -465,7 +500,7 @@ def test_pencil_overlong_file_is_rejected_before_it_is_read_whole(tmp_path, caps
 def test_pencil_non_ascii_digits_are_rejected(tmp_path, capsys):
     for entry in ("\u0663*l", "l^\u0663", "1/\u0663*l"):  # '٣' is an Arabic-Indic 3
         with pytest.raises(PencilParseError, match="cannot parse"):
-            cli.parse_form(entry)
+            cli.parse_form(entry, 1)
     f = tmp_path / "pencil.txt"
     _write_pencil(f, "degree 1", ["\u0663*l"] + ["0"] * 9)
     code, captured = _pencil_exit(f, capsys)
@@ -478,11 +513,11 @@ def test_pencil_non_ascii_digits_are_rejected(tmp_path, capsys):
 def test_pencil_entry_term_cap(tmp_path, capsys):
     cap = cli.MAX_DEGREE + 1  # the monomials of a binary form of degree MAX_DEGREE
     full = " + ".join("l^%d*m^%d" % (i, cli.MAX_DEGREE - i) for i in range(cap))
-    assert len(cli.parse_form(full).terms) == cap
-    assert cli.parse_form("+".join(["0"] * cap)).is_zero()
+    assert cli.parse_form(full, cli.MAX_DEGREE) == (1,) * cap
+    assert cli.parse_form("+".join(["0"] * cap), 0) == (0,)
     message = "entry has more than %d terms" % cap
     with pytest.raises(PencilParseError, match=message):
-        cli.parse_form("+".join(["0"] * (cap + 1)))
+        cli.parse_form("+".join(["0"] * (cap + 1)), 0)
     f = tmp_path / "pencil.txt"
     _write_pencil(f, "degree %d" % cli.MAX_DEGREE, [full] + ["0"] * 9)
     code, captured = _pencil_exit(f, capsys)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import pytest
@@ -18,29 +18,66 @@ L = ParamPoly.var("l")
 M = ParamPoly.var("m")
 
 
+# Entries are coefficient tuples; the references below build ParamPoly
+# forms and convert them with these two helpers.
+
+def _coefficients(f, degree):
+    """The coefficient tuple of a ParamPoly form of `degree` in l, m."""
+    out = [0] * (degree + 1)
+    for mono, c in f.terms.items():
+        powers = dict(mono)
+        assert set(powers) <= {"l", "m"} and sum(powers.values()) == degree, f
+        out[powers.get("l", 0)] = c
+    return tuple(out)
+
+
+def _form(f):
+    """The ParamPoly form of a coefficient tuple."""
+    d = len(f) - 1
+    return sum((c * L ** i * M ** (d - i) for i, c in enumerate(f)), ParamPoly.const(0))
+
+
+@lru_cache(maxsize=None)
+def _forms(entries):
+    """The ParamPoly matrix of a pencil's entries, built once per pencil."""
+    return [[_form(f) for f in row] for row in entries]
+
+
+def _pencil(entries, degree):
+    """The pencil of a 4x4 matrix of ParamPoly forms of `degree`."""
+    return QuadricPencil([[_coefficients(f, degree) for f in row] for row in entries])
+
+
+def _from_vectors(*vectors):
+    """Sum of v.v^T over vectors of linear forms (a rank-<=len pencil)."""
+    entries = [[sum((v[i] * v[j] for v in vectors), ParamPoly.const(0)) for j in range(4)]
+               for i in range(4)]
+    return _pencil(entries, 2)
+
+
 def test_matrix_validation():
-    bad = [[L] * 4 for _ in range(4)]
-    bad[0][1] = M
-    with pytest.raises(InvalidParameterError):
+    bad = [[(0, 1)] * 4 for _ in range(4)]
+    bad[0][1] = (1, 0)
+    with pytest.raises(InvalidParameterError, match="symmetric"):
         QuadricPencil(bad)
-    inhomogeneous = [[L + L * M if i == j == 0 else ParamPoly.const(0) for j in range(4)]
-                     for i in range(4)]
-    with pytest.raises(InvalidParameterError):
-        QuadricPencil(inhomogeneous)
-    with pytest.raises(InvalidParameterError):
-        QuadricPencil([[ParamPoly.var("z") if i == j else ParamPoly.const(0)
-                        for j in range(4)] for i in range(4)])
+    with pytest.raises(InvalidParameterError, match="one length"):
+        QuadricPencil([[(0, 1, 0) if i == j == 0 else (0, 0) for j in range(4)]
+                       for i in range(4)])
+    with pytest.raises(InvalidParameterError, match="one length"):
+        QuadricPencil([[()] * 4 for _ in range(4)])
+    with pytest.raises(InvalidParameterError, match="4x4"):
+        QuadricPencil([[(0,)] * 4 for _ in range(3)])
 
 
 def test_zero_pencil():
-    p = QuadricPencil([[0] * 4 for _ in range(4)])
-    assert all(e.is_zero() for row in p.entries for e in row)
+    p = QuadricPencil([[(0, 0, 0)] * 4 for _ in range(4)])
+    assert p.degree == 2
+    assert all(not any(e) for row in p.entries for e in row)
     assert p.generic_rank() == 0
 
 
 def test_diagonal_full_rank():
-    p = QuadricPencil([[L if i == j else ParamPoly.const(0) for j in range(4)]
-                       for i in range(4)])
+    p = QuadricPencil([[(0, 1) if i == j else (0, 0) for j in range(4)] for i in range(4)])
     assert p.generic_rank() == 4
     with pytest.raises(RankTooHighError):
         p.rank1_parameter_count()
@@ -81,14 +118,14 @@ def test_linear_rank1_count_capped_at_two():
 
 def test_single_vector_is_whole_line():
     v = (L, M, ParamPoly.const(0), ParamPoly.const(0))
-    p = QuadricPencil.from_vectors(v)
+    p = _from_vectors(v)
     assert p.rank1_parameter_count() is WHOLE_LINE
 
 
 def test_two_vector_example():
     v = (L, M, ParamPoly.const(0), ParamPoly.const(0))
     w = (M, L, ParamPoly.const(0), ParamPoly.const(0))
-    p = QuadricPencil.from_vectors(v, w)
+    p = _from_vectors(v, w)
     assert p.generic_rank() == 2
     assert p.rank1_parameter_count() == 2
     assert p.rank_at(1, 1) == 1
@@ -99,7 +136,7 @@ def test_two_vector_example():
 def test_split_vector_pair_has_moving_line():
     v = (L, M, ParamPoly.const(0), ParamPoly.const(0))
     w = (ParamPoly.const(0), ParamPoly.const(0), L, M)
-    p = QuadricPencil.from_vectors(v, w)
+    p = _from_vectors(v, w)
     _, constant = p.singular_line_family()
     assert not constant
 
@@ -145,7 +182,7 @@ def test_singular_line_annihilates_matrix():
         rows = [[q[i, j] if i < j else tuple(-c for c in q[j, i]) if i > j else ()
                  for j in range(4)] for i in range(4)]
         assert bareiss_rank(rows) == 2
-        a = [[e.subs({"m": 1}) for e in row] for row in p.entries]
+        a = [[e.subs({"m": 1}) for e in row] for row in _forms(p.entries)]
         for i in range(4):
             for k in range(4):
                 assert sum((a[i][j] * _l_poly(rows[j][k]) for j in range(4)),
@@ -157,9 +194,9 @@ def test_singular_line_annihilates_matrix():
 
 
 def test_constant_squared_diagonal():
-    entries = [[ParamPoly.const(0)] * 4 for _ in range(4)]
-    entries[0][0] = L * L
-    entries[1][1] = L * L
+    entries = [[(0, 0, 0)] * 4 for _ in range(4)]
+    entries[0][0] = (0, 0, 1)
+    entries[1][1] = (0, 0, 1)
     p = QuadricPencil(entries)
     line, constant = p.singular_line_family()
     assert constant
@@ -195,7 +232,8 @@ def test_rank_is_computed_once_per_pencil(monkeypatch):
 # from ParamPoly minors with sympy's gcd and squarefree part.
 
 def _evaluated(p, x, y=1):
-    return [[e.evaluate({"l": Fraction(x), "m": Fraction(y)}) for e in row] for row in p.entries]
+    return [[e.evaluate({"l": Fraction(x), "m": Fraction(y)}) for e in row]
+            for row in _forms(p.entries)]
 
 
 def _reference_generic_rank(p):
@@ -206,7 +244,7 @@ def _reference_generic_rank(p):
 
 
 def _reference_rank1_count(p, sympy):
-    e = p.entries
+    e = _forms(p.entries)
     minors = [e[i][k] * e[j][n] - e[i][n] * e[j][k]
               for (i, j) in combinations(range(4), 2) for (k, n) in combinations(range(4), 2)]
     minors = [f.subs({"m": 1}) for f in minors if not f.is_zero()]
@@ -240,14 +278,14 @@ def _random_pencil(rng):
         for i in range(4):
             for j in range(4):
                 entries[i][j] = entries[i][j] + s * v[i] * v[j]
-    return QuadricPencil(entries, degree=degree)
+    return _pencil(entries, degree)
 
 
 def test_rank_and_rank1_count_match_the_ratfunc_reference():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(4)
     pencils = [QuadricPencil.degree4_witness(), QuadricPencil.rank2_normal_form(2, 1, 3),
-               QuadricPencil([[0] * 4 for _ in range(4)], degree=3)]
+               QuadricPencil([[(0,) * 4] * 4 for _ in range(4)])]
     pencils += [_random_pencil(rng) for _ in range(40)]
     points = [(1, 0), (0, 1), (Fraction(1, 2), 5), (2, -3), (Fraction(-2, 3), Fraction(5, 7))]
     seen = set()
@@ -295,7 +333,6 @@ def test_rank1_count_of_a_dense_pencil_of_degree_40():
     s0, s1 = [sum((rng.randint(-9, 9) * L ** i * M ** (40 - i) for i in range(41)),
                   ParamPoly.const(0)) for _ in range(2)]
     u, w = (1, 2, 0, 3), (0, 1, 5, -1)
-    p = QuadricPencil([[s0 * u[i] * u[j] + s1 * w[i] * w[j] for j in range(4)]
-                       for i in range(4)], degree=40)
+    p = _pencil([[s0 * u[i] * u[j] + s1 * w[i] * w[j] for j in range(4)] for i in range(4)], 40)
     assert p.rank1_parameter_count() == _reference_rank1_count(p, sympy)
     assert p.singular_line_family()[1] is True
