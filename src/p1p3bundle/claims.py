@@ -104,7 +104,9 @@ def _check_prop31():
 def _check_remark33():
     from . import stability
 
-    bad = []
+    ratio = stability.stable_ratio()
+    bad = [] if ratio == 18 else [("n < r*m", ratio)]
+    # the ratio covers the whole quadrant; the grid cross-checks stability_decide
     for m in range(1, 41):
         for n in range(1, 41):
             got = stability.stability_decide(stability.Polarization(m, n))
@@ -159,8 +161,8 @@ def _check_prop53(e, expected):
 def _check_lemma52():
     from . import geometry
 
-    small = [(s.e, s.alpha, s.beta) for s in geometry.classify_embeddings(2)]
-    large = [(s.e, s.alpha, s.beta) for s in geometry.classify_embeddings(10)]
+    small = geometry.classify_embeddings(2)
+    large = geometry.classify_embeddings(10)
     computed = "e_max=2: %s, e_max=10: %s" % (small, large)
     want = [(0, 1, 1), (2, 1, 2)]
     expected = "e_max=2: %s, e_max=10: %s" % (want, want)
@@ -216,16 +218,17 @@ def _check_lemma34():
     return _result("h(I_X)=%s" % (table,), "h(I_X)=(0, 0, 2, 1, 0)")
 
 
-def _check_prop41():
+def _h0_restricted():
+    """h^0(E_t(-2)) by the long exact sequence, for Props. 4.1 and 6.1(a)."""
     from . import cohom
 
-    problem = cohom.LesProblem(
-        a=cohom.CohomTable((0, 0, 0, 0)),
-        b=None,
-        c=(1, None, None, None),
-    )
-    table = cohom.les_solve(problem)
-    return _result("h0=%s" % (table[0],), "h0=1")
+    return cohom.les_solve(
+        cohom.LesProblem(a=cohom.CohomTable((0, 0, 0, 0)), b=None, c=(1, None, None, None))
+    )[0]
+
+
+def _check_prop41():
+    return _result("h0=%s" % (_h0_restricted(),), "h0=1")
 
 
 def _check_lemma42():
@@ -280,17 +283,12 @@ def _splitting_claim(line, data, expected):
     h = chow.p1().gen("h")
     images = tuple(k * h for k in line)
     c1 = int(chow.degree(chow.pullback(chern.abelian_surface_bundle().c1, images)).constant())
-    got = geometry.splitting_from_sections(c1, data).as_pair()
+    got = geometry.splitting_from_sections(c1, data)
     return _result("splitting=%s" % (got,), "splitting=%s" % (expected,))
 
 
 def _check_prop61a():
-    from . import cohom
-
-    h0 = cohom.les_solve(
-        cohom.LesProblem(a=cohom.CohomTable((0, 0, 0, 0)), b=None, c=(1, None, None, None))
-    )[0]
-    return _splitting_claim((0, 1), {2: h0, 3: 0, 4: 0}, (2, 2))
+    return _splitting_claim((0, 1), {2: _h0_restricted(), 3: 0, 4: 0}, (2, 2))
 
 
 def _check_prop61b():
@@ -374,7 +372,7 @@ def _registry():
               "Prop. 6.1(b)", _check_prop61b),
         Claim("prop6.2b", "splitting type (4,0) on a transversal jumping line",
               "Prop. 6.2(b)", _check_prop62b),
-        Claim("remark3.3", "stability region is exactly n < 18m on the [1,40]^2 grid",
+        Claim("remark3.3", "stability region is exactly n < 18m for all m, n > 0, cross-checked on [1,40]^2",
               "Remark 3.3", _check_remark33),
         Claim("serre-duality", "Serre duality table symmetry on [-8,8]^2",
               "Lemma 3.4 proof", _check_serre_duality),

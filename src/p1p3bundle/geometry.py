@@ -49,13 +49,6 @@ def chi_twisted_bundle():
 # -- Hirzebruch embedding classification ------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddingSolution:
-    e: int
-    alpha: int
-    beta: int
-
-
 def classify_embeddings(e_max):
     """All (e, alpha, beta) with the embedding constraints of the surface Z.
 
@@ -70,7 +63,7 @@ def classify_embeddings(e_max):
         c0, f = ring.gen("C0"), ring.gen("f")
         for beta in range(3):
             if chow.degree((c0 + beta * f) ** 2).constant() == 2:
-                out.append(EmbeddingSolution(e, 1, beta))
+                out.append((e, 1, beta))
     return out
 
 
@@ -95,10 +88,10 @@ def double_structure_identity(e):
     O(p, q), (p, q) = (a + d, b + 2), restricts to Z by the pullback along
     h1 -> alpha f, h3 -> C0 + beta f, which is q C0 + (alpha p + beta q) f.
     """
-    embeddings = {emb.e: emb for emb in classify_embeddings(2)}
+    embeddings = {s[0]: s[1:] for s in classify_embeddings(2)}  # e -> (alpha, beta)
     if e not in embeddings:
         raise InvalidParameterError("e must be one of %s" % sorted(embeddings))
-    alpha, beta = embeddings[e].alpha, embeddings[e].beta
+    alpha, beta = embeddings[e]
     ring, surface = chow.p1xp3(), chow.sigma(e)
     h1, h3 = ring.gen("h1"), ring.gen("h3")
     c0, f = surface.gen("C0"), surface.gen("f")
@@ -191,24 +184,11 @@ def multiplication_surjective(a, b):
 # -- splitting types --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplittingType:
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < self.b:
-            raise InvalidParameterError("splitting type requires a >= b")
-
-    def as_pair(self):
-        return (self.a, self.b)
-
-
 def splitting_from_sections(c1, section_twists):
     """Splitting type O(a) + O(c1 - a) on a line from twisted section counts.
 
     The top degree a is the maximal k with h^0 of the k-twisted-down
-    restriction nonzero.
+    restriction nonzero; returns the pair (a, c1 - a), a >= c1 - a.
     """
     positive = [k for k, h0 in section_twists.items() if h0 > 0]
     if not positive:
@@ -218,7 +198,7 @@ def splitting_from_sections(c1, section_twists):
         raise InconsistentError(
             "top degree %d contradicts c1 = %d (needs 2a >= c1)" % (a, c1)
         )
-    return SplittingType(a, c1 - a)
+    return (a, c1 - a)
 
 
 # -- the jumping divisor degree -----------------------------------------------------

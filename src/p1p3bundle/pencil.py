@@ -15,7 +15,6 @@ radical over Z), and the family of singular lines of a rank-2 pencil
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -184,15 +183,17 @@ class QuadricPencil:
         return count
 
     def singular_line_family(self):
-        """(SingularLine, constant) for a pencil of generic rank 2.
+        """(q, constant) for a pencil of generic rank 2.
 
         The row space over the function field is spanned by any row pair
         with a nonzero minor, and its Plücker coordinates are that pair's
         six minors p.  The kernel, the singular line, is its orthogonal
         complement, with the Hodge dual coordinates q_ab = sign(a,b,c,d) p_cd
-        (Hodge-Pedoe, Methods of Algebraic Geometry I, ch. VII).  constant
-        is True iff the nonzero q_ab are rational multiples of one another,
-        i.e. all quadrics share the same singular line.
+        (Hodge-Pedoe, Methods of Algebraic Geometry I, ch. VII), in `PAIRS`
+        order, each an integer coefficient list in l (lowest degree first)
+        on the chart m = 1.  constant is True iff the nonzero q_ab are
+        rational multiples of one another, i.e. all quadrics share the same
+        singular line.
         """
         if self.generic_rank() != 2:
             raise RankMismatchError("singular_line_family needs generic rank 2")
@@ -201,12 +202,5 @@ class QuadricPencil:
         ref = next(f for f in q if f)
         # f and ref are proportional over Q iff f*lead(ref) == ref*lead(f)
         constant = all([c * ref[-1] for c in f] == [c * f[-1] for c in ref] for f in q if f)
-        return SingularLine(q), constant
+        return q, constant
 
-
-@dataclass(frozen=True)
-class SingularLine:
-    """Plücker coordinates q_ab of the line, in `PAIRS` order, each an
-    integer coefficient list in l (lowest degree first) on the chart m = 1."""
-
-    plucker: tuple

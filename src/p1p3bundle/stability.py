@@ -1,30 +1,39 @@
 """Slope stability of the rank-2 bundle with respect to O(m, n).
 
-The subsheaf-existence oracle is deliberately three-valued: the vanishing
-facts and the shipped positive instances are all the argument needs, and
-pairs the source material does not decide stay "unknown".
+Stability is the sign of one integer linear form per destabilizer corner,
+read off the Chow ring once.  The subsheaf-existence oracle is
+deliberately three-valued: the vanishing facts and the shipped positive
+instances are all the argument needs, and pairs the source material does
+not decide stay "unknown".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import chow
-from .errors import InvalidParameterError
+from .errors import InconsistentError, InvalidParameterError
 from .poly import ParamPoly
 
 
 @dataclass(frozen=True)
 class Polarization:
-    """An ample class O(m, n): requires m > 0 and n > 0."""
+    """An ample class O(m, n): requires int m > 0 and n > 0."""
 
     m: int
     n: int
 
     def __post_init__(self):
+        _require_ints(self.m, self.n)
         if self.m <= 0 or self.n <= 0:
             raise InvalidParameterError("O(m,n) is ample only for m > 0, n > 0")
+
+
+def _require_ints(*values):  # a float such as 0.1 is not the rational it shows
+    if not all(type(x) is int for x in values):
+        raise InvalidParameterError("expected ints, got %s" % (values,))
 
 
 # (p, q) with h^0(I_X(p, q)) != 0: the octic image, the degree-4 quadric
@@ -43,16 +52,12 @@ def _slope_poly():
     return chow.degree(line * pol ** 3)
 
 
-def _slope_value(line, pol):
-    """L . H^3 for L = O(a, b) with int a, b, as a Fraction."""
-    a, b = line
-    return _slope_poly().evaluate({"a": a, "b": b, "m": pol.m, "n": pol.n})
-
-
 def slope_dot(line, pol):
     """L . H^3 for L = O(a, b) with int a, b and H = O(m, n), computed in
     the Chow ring, as a constant ParamPoly."""
-    return ParamPoly.const(_slope_value(line, pol))
+    a, b = line
+    _require_ints(a, b)
+    return ParamPoly.const(_slope_poly().evaluate({"a": a, "b": b, "m": pol.m, "n": pol.n}))
 
 
 def subsheaf_status(p, q):
@@ -98,12 +103,35 @@ def destabilizer_corners():
     return tuple(corners)
 
 
+@lru_cache(maxsize=None)
+def gap_forms():
+    """(u, v) for each destabilizer corner c, with slope(c) - slope(1, 2)
+    = n^2 (u n + v m); InconsistentError unless that holds with int u, v."""
+    m, n = ParamPoly.var("m"), ParamPoly.var("n")
+    half = _slope_poly().subs({"a": 1, "b": 2})  # half of det E = O(2,4)
+    forms = []
+    for a, b in destabilizer_corners():
+        gap = _slope_poly().subs({"a": a, "b": b}) - half
+        u, v = gap.coefficient((("n", 3),)), gap.coefficient((("m", 1), ("n", 2)))
+        if gap != n * n * (u * n + v * m) or u.denominator != 1 or v.denominator != 1:
+            raise InconsistentError("slope gap %s at %s is not n^2 (u n + v m)" % (gap, (a, b)))
+        forms.append((int(u), int(v)))
+    return tuple(forms)
+
+
 def stability_decide(pol):
-    """'stable', 'semistable_not_stable' or 'unstable' w.r.t. O(m, n)."""
-    threshold = _slope_value((1, 2), pol)  # half of det E = O(2,4)
-    best = max(_slope_value(c, pol) for c in destabilizer_corners())
-    if best < threshold:
-        return "stable"
-    if best == threshold:
-        return "semistable_not_stable"
-    return "unstable"
+    """'stable', 'semistable_not_stable' or 'unstable' w.r.t. O(m, n): the
+    sign of the largest gap form at (m, n)."""
+    worst = max(u * pol.n + v * pol.m for u, v in gap_forms())
+    return "stable" if worst < 0 else "semistable_not_stable" if worst == 0 else "unstable"
+
+
+def stable_ratio():
+    """The r with E stable for O(m, n) exactly when n < r*m, over all
+    m, n > 0 (None: no form bounds it).  A form with u <= 0 and v < 0, or
+    u < 0 = v, is negative on the whole quadrant, one with u > 0 > v below
+    its ray n = (-v/u) m; any other raises InconsistentError."""
+    forms = gap_forms()
+    if not all(v < 0 or (v == 0 and u < 0) for u, v in forms):
+        raise InconsistentError("gap forms %s are not each negative below a ray" % (forms,))
+    return min((Fraction(-v, u) for u, v in forms if u > 0), default=None)

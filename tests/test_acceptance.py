@@ -98,8 +98,7 @@ def test_criterion_07_double_structure_solver():
 def test_criterion_08_embedding_classifier():
     expected = [(0, 1, 1), (2, 1, 2)]
     ok = all(
-        [(s.e, s.alpha, s.beta) for s in geometry.classify_embeddings(cap)] == expected
-        for cap in (2, 10)
+        geometry.classify_embeddings(cap) == expected for cap in (2, 10)
     )
     _report(8, "exactly (0,1,1) and (2,1,2), stable under e_max", ok)
 
@@ -164,9 +163,9 @@ def test_criterion_12_pencil_module():
 
 
 def test_criterion_13_splitting_types():
-    horizontal = geometry.splitting_from_sections(4, {2: 1, 3: 0}).as_pair()
-    vertical = geometry.splitting_from_sections(2, {1: 1, 2: 0}).as_pair()
-    jumping = geometry.splitting_from_sections(4, {4: 1, 5: 0}).as_pair()
+    horizontal = geometry.splitting_from_sections(4, {2: 1, 3: 0})
+    vertical = geometry.splitting_from_sections(2, {1: 1, 2: 0})
+    jumping = geometry.splitting_from_sections(4, {4: 1, 5: 0})
     ok = horizontal == (2, 2) and vertical == (1, 1) and jumping == (4, 0)
     _report(13, "splitting types (2,2) / (1,1) / (4,0)", ok)
 

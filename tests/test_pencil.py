@@ -177,7 +177,7 @@ def test_singular_line_annihilates_matrix():
     for p in pencils:
         line, constant = p.singular_line_family()
         seen.add(constant)
-        q = dict(zip(pencil.PAIRS, line.plucker))
+        q = dict(zip(pencil.PAIRS, line))
         # the antisymmetric matrix of the line: its rows lie on the line
         rows = [[q[i, j] if i < j else tuple(-c for c in q[j, i]) if i > j else ()
                  for j in range(4)] for i in range(4)]

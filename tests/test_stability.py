@@ -1,7 +1,11 @@
-import pytest
+from fractions import Fraction
 
-from p1p3bundle import stability
-from p1p3bundle.errors import InvalidParameterError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from p1p3bundle import claims, stability
+from p1p3bundle.errors import InconsistentError, InvalidParameterError
 from p1p3bundle.poly import ParamPoly
 
 
@@ -10,6 +14,17 @@ def test_polarization_requires_positive_entries():
         stability.Polarization(0, 1)
     with pytest.raises(InvalidParameterError):
         stability.Polarization(1, -2)
+
+
+def test_non_int_parameters_are_rejected():
+    # O(0.1, 1.8) reads as n = 18m, on the boundary, but the binary floats are
+    # other rationals, and float arithmetic would call it stable
+    for m, n in [(0.1, 1.8), (0.1, 1), (1, 2.0), (Fraction(1), 1), (True, 1)]:
+        with pytest.raises(InvalidParameterError):
+            stability.Polarization(m, n)
+    for line in [(1, 2.0), (0.5, 2), (Fraction(1), 2)]:
+        with pytest.raises(InvalidParameterError):
+            stability.slope_dot(line, stability.Polarization(1, 1))
 
 
 def test_slope_examples():
@@ -84,13 +99,74 @@ def test_stability_decisions():
     assert stability.stability_decide(stability.Polarization(2, 36)) == "semistable_not_stable"
 
 
-def test_stability_decide_compares_fractions(monkeypatch):
-    stability.stability_decide(stability.Polarization(1, 1))  # caches the slope polynomial
-    wrapped = []
-    const = ParamPoly.const
-    monkeypatch.setattr(ParamPoly, "const", staticmethod(lambda value: wrapped.append(value) or const(value)))
+def test_stability_decide_evaluates_no_polynomial(monkeypatch):
+    stability.stability_decide(stability.Polarization(1, 1))  # derives the gap forms
+    calls = []
+    evaluate, const = ParamPoly.evaluate, ParamPoly.const
+    monkeypatch.setattr(ParamPoly, "evaluate",
+                        lambda self, point: calls.append(point) or evaluate(self, point))
+    monkeypatch.setattr(ParamPoly, "const", staticmethod(lambda value: calls.append(value) or const(value)))
     assert stability.stability_decide(stability.Polarization(3, 54)) == "semistable_not_stable"
-    assert wrapped == []
+    assert stability.stability_decide(stability.Polarization(3, 53)) == "stable"
+    assert stability.stability_decide(stability.Polarization(3, 55)) == "unstable"
+    assert calls == []
+
+
+def test_gap_forms_are_read_off_the_slope_polynomial():
+    assert stability.gap_forms() == ((1, -18), (0, -3), (-2, 0))
+    assert stability.stable_ratio() == 18
+
+
+_boundary = st.integers(1, 10 ** 6 // 18).map(lambda m: (m, 18 * m))
+_quadrant = st.tuples(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_boundary, _boundary, _quadrant))  # two draws in three on n = 18m
+def test_stability_decide_matches_corner_slopes(point):
+    pol = stability.Polarization(*point)
+    threshold = stability.slope_dot((1, 2), pol).constant()
+    best = max(stability.slope_dot(c, pol).constant() for c in stability.destabilizer_corners())
+    want = ("stable" if best < threshold else
+            "semistable_not_stable" if best == threshold else "unstable")
+    assert stability.stability_decide(pol) == want
+
+
+@pytest.mark.parametrize("slope", [
+    lambda a, b, m, n: a * n ** 3 + b * m * m * n * n,  # n^2 times a quadratic form
+    lambda a, b, m, n: Fraction(1, 2) * a * n ** 3 + 3 * b * m * n ** 2,  # u = 1/2
+])
+def test_gap_forms_reject_a_gap_that_is_not_an_integer_linear_form(monkeypatch, slope):
+    a, b, m, n = (ParamPoly.var(x) for x in "abmn")
+    monkeypatch.setattr(stability, "_slope_poly", lambda: slope(a, b, m, n))
+    stability.gap_forms.cache_clear()
+    try:
+        with pytest.raises(InconsistentError):
+            stability.gap_forms()
+    finally:
+        stability.gap_forms.cache_clear()
+
+
+def test_stable_ratio_is_the_lowest_ray(monkeypatch):
+    monkeypatch.setattr(stability, "gap_forms", lambda: ((2, -3), (1, -18), (0, -1), (-1, 0)))
+    assert stability.stable_ratio() == Fraction(3, 2)
+    monkeypatch.setattr(stability, "gap_forms", lambda: ((0, -3), (-2, 0)))
+    assert stability.stable_ratio() is None
+
+
+@pytest.mark.parametrize("forms", [((1, 2),), ((-1, 1),), ((1, 0),), ((0, 0),), ((1, -18), (0, 1))])
+def test_stable_ratio_rejects_forms_that_break_the_cone(monkeypatch, forms):
+    monkeypatch.setattr(stability, "gap_forms", lambda: forms)
+    with pytest.raises(InconsistentError):
+        stability.stable_ratio()
+
+
+def test_remark33_reports_a_ratio_other_than_18(monkeypatch):
+    monkeypatch.setattr(stability, "gap_forms", lambda: ((1, -17), (0, -3), (-2, 0)))
+    result = claims.get_claim("remark3.3").check()
+    assert not result.ok
+    assert result.computed.startswith("violations=[('n < r*m', Fraction(17, 1)), ")
+    assert result.expected == "violations=[]"
 
 
 def test_stability_region_grid():
