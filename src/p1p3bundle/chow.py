@@ -8,8 +8,10 @@ monomials are keyed by exponent tuples, and the product table is filled
 by adding exponents and applying the rewrites; display names such as
 "h1*h3^2" (and "pt" for C0.f) appear only at the name-based surface.
 Each ring also stores the total Chern class of its tangent bundle and
-the canonical class K = -c1(T).  Cycle classes carry ParamPoly
-coefficients so formal twist parameters flow through unchanged.  Every
+the canonical class K = -c1(T).  A coefficient of a cycle class is a
+number (int or Fraction), and a ParamPoly only where a formal variable
+lives, so formal twist parameters flow through unchanged while numeric
+classes never build a polynomial.  Every
 restriction (to a fiber, a line, P1 x line or a Hirzebruch surface) is
 one `pullback`: the ring map fixed by the degree-1 images of the
 generators.
@@ -23,7 +25,7 @@ from functools import lru_cache
 from operator import add
 
 from .errors import DegreeMismatchError, InvalidParameterError, RingMismatchError
-from .poly import ParamPoly
+from .poly import _ONE, ParamPoly
 
 
 def _monomial_name(gens, exps):
@@ -77,7 +79,7 @@ class RingSpec:
         return GradedClass(self, {})
 
     def one(self):
-        return GradedClass(self, {self.unit: ParamPoly.const(1)})
+        return GradedClass(self, {self.unit: 1})
 
     def _exponents(self, name):
         if name not in self.index:
@@ -85,30 +87,49 @@ class RingSpec:
         return self.index[name]
 
     def gen(self, name):
-        return GradedClass(self, {self._exponents(name): ParamPoly.const(1)})
+        return GradedClass(self, {self._exponents(name): 1})
 
     def cls(self, coeffs):
-        """Build a class from {basis monomial: coefficient} (ints allowed)."""
-        out = {}
-        for name, c in coeffs.items():
-            out[self._exponents(name)] = c if isinstance(c, ParamPoly) else ParamPoly.const(c)
-        return GradedClass(self, out)
+        """Build a class from {basis monomial: int, Fraction or ParamPoly}."""
+        return GradedClass(self, {self._exponents(name): _scalar(c) for name, c in coeffs.items()})
 
     def __repr__(self):
         return "RingSpec(%s)" % self.name
 
 
+def _scalar(x):
+    """x as a coefficient: an int or Fraction as it is, a ParamPoly as its
+    number when it is constant; InvalidParameterError for anything else
+    (a float is not the rational it shows)."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, ParamPoly):
+        return x.terms.get(_ONE, 0) if x.terms.keys() <= {_ONE} else x
+    raise InvalidParameterError(
+        "a coefficient must be an int, a Fraction or a ParamPoly, got %r" % (x,)
+    )
+
+
 class GradedClass:
-    """Element of a RingSpec: exponent tuples with ParamPoly coefficients."""
+    """Element of a RingSpec: exponent tuples with nonzero coefficients.
+
+    A coefficient is an int or a Fraction, and a ParamPoly only where a
+    formal variable lives: a ParamPoly that turns out constant is stored
+    as its number, so classes built either way compare and hash equal.
+    `coeff` (and so `degree`) returns a ParamPoly all the same.
+    """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        self.coeffs = {m: c for m, c in coeffs.items() if not c.is_zero()}
+        self.coeffs = {
+            m: _scalar(c) if c.__class__ is ParamPoly else c for m, c in coeffs.items() if c
+        }
 
     def coeff(self, name):
-        return self.coeffs.get(self.ring._exponents(name), ParamPoly.const(0))
+        c = self.coeffs.get(self.ring._exponents(name), 0)
+        return c if c.__class__ is ParamPoly else ParamPoly.const(c)
 
     def is_zero(self):
         return not self.coeffs
@@ -125,22 +146,13 @@ class GradedClass:
                 "classes live in different rings: %s vs %s" % (self.ring.name, other.ring.name)
             )
 
-    @staticmethod
-    def _as_scalar(x):
-        if isinstance(x, (int, Fraction, ParamPoly)):
-            return x if isinstance(x, ParamPoly) else ParamPoly.const(x)
-        return None
-
     def __add__(self, other):
-        scalar = GradedClass._as_scalar(other)
-        if scalar is not None:
-            other = GradedClass(self.ring, {self.ring.unit: scalar})
-        elif not isinstance(other, GradedClass):
-            return NotImplemented
+        if not isinstance(other, GradedClass):
+            other = GradedClass(self.ring, {self.ring.unit: _scalar(other)})
         self._check_ring(other)
         coeffs = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            coeffs[m] = coeffs.get(m, ParamPoly.const(0)) + c
+            coeffs[m] = coeffs.get(m, 0) + c
         return GradedClass(self.ring, coeffs)
 
     __radd__ = __add__
@@ -149,29 +161,22 @@ class GradedClass:
         return GradedClass(self.ring, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, GradedClass):
-            return self + (-other)
-        scalar = GradedClass._as_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return self + GradedClass(self.ring, {self.ring.unit: -scalar})
+        return self + (-other if isinstance(other, GradedClass) else -_scalar(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        scalar = GradedClass._as_scalar(other)
-        if scalar is not None:
-            return GradedClass(self.ring, {m: c * scalar for m, c in self.coeffs.items()})
         if not isinstance(other, GradedClass):
-            return NotImplemented
+            scalar = _scalar(other)
+            return GradedClass(self.ring, {m: c * scalar for m, c in self.coeffs.items()})
         self._check_ring(other)
         coeffs = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 c = c1 * c2
                 for m, f in self.ring.table[(m1, m2)].items():
-                    coeffs[m] = coeffs.get(m, ParamPoly.const(0)) + (c if f == 1 else c * f)
+                    coeffs[m] = coeffs.get(m, 0) + (c if f == 1 else c * f)
         return GradedClass(self.ring, coeffs)
 
     __rmul__ = __mul__
@@ -186,10 +191,9 @@ class GradedClass:
 
     def __eq__(self, other):
         if not isinstance(other, GradedClass):
-            scalar = GradedClass._as_scalar(other)
-            if scalar is None:
+            if not isinstance(other, (int, Fraction, ParamPoly)):
                 return NotImplemented
-            other = GradedClass(self.ring, {self.ring.unit: scalar})
+            other = GradedClass(self.ring, {self.ring.unit: other})
         return self.ring is other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -207,7 +211,8 @@ class GradedClass:
                     parts.append(cs)
                 elif cs == "1":
                     parts.append(name)
-                elif len(c.terms) > 1 or "-" in cs or "/" in cs or "*" in cs:
+                elif (isinstance(c, ParamPoly) and len(c.terms) > 1
+                      or "-" in cs or "/" in cs or "*" in cs):
                     parts.append("(%s)*%s" % (cs, name))
                 else:
                     parts.append("%s*%s" % (cs, name))

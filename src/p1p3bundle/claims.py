@@ -233,13 +233,12 @@ def _check_prop41():
 
 def _check_lemma42():
     from . import chern, chow
-    from .poly import ParamPoly
 
     # E_t: the pullback to a fiber {t} x P3 (h1 -> 0, h3 -> h)
     ring = chow.p3()
     fiber = (ring.zero(), ring.gen("h"))
     restricted = chern.restrict_bundle(chern.abelian_surface_bundle(), fiber)
-    twisted = chern.twist(restricted, ParamPoly.const(-2) * ring.gen("h"))
+    twisted = chern.twist(restricted, -2 * ring.gen("h"))
     c1 = twisted.c1.coeff("h")
     c2 = twisted.c2.coeff("h^2")
     # adjunction for the zero locus X_t of a section: deg K = (c1 + K_P3) . c2

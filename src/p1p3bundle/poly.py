@@ -49,6 +49,8 @@ class ParamPoly:
 
     @staticmethod
     def const(value):
+        if not isinstance(value, (int, Fraction)):  # a float is not the rational it shows
+            raise InvalidParameterError("a constant must be an int or a Fraction: %r" % (value,))
         c = Fraction(value)
         return ParamPoly({_ONE: c} if c else {})
 
@@ -72,6 +74,9 @@ class ParamPoly:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_constant(self):
         return all(m == _ONE for m in self.terms)
@@ -127,6 +132,8 @@ class ParamPoly:
         return ParamPoly._coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a number scales each coefficient
+            return ParamPoly({m: c * other for m, c in self.terms.items()})
         other = ParamPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented

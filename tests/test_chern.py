@@ -283,3 +283,39 @@ def test_grr_pushforward_of_line_bundles():
             rank, c1 = chern.grr_pushforward(lb)
             assert rank.constant() == 1 - a
             assert c1.constant() == b * (a - 1)
+
+
+def test_numeric_chi_makes_no_polynomial_product(monkeypatch):
+    # a numeric twist keeps every Chow coefficient a number, so HRR never
+    # multiplies two ParamPolys (the Chern and Todd classes are warm)
+    ring, bundle = chow.p1xp3(), chern.abelian_surface_bundle()
+    chern.euler_characteristic(bundle)
+    products = []
+    mul = ParamPoly.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(ParamPoly, "__mul__", counting)
+    monkeypatch.setattr(ParamPoly, "__rmul__", counting)
+    for a, b in ((0, 0), (3, -2), (-7, 5)):
+        twisted = chern.twist(bundle, a * ring.gen("h1") + b * ring.gen("h3"))
+        chi = chern.euler_characteristic(twisted)
+        assert 3 * chi.constant() == (-18 + 36 * a + 34 * b + 18 * b * b + 41 * a * b
+                                      + 2 * b ** 3 + 12 * a * b * b + a * b ** 3)
+        # exact numbers all the way: no float, and no ParamPoly, in any coefficient
+        classes = twisted.cs + (chern.chern_character(twisted), chern.todd(ring))
+        assert {type(c) for x in classes for c in x.coeffs.values()} <= {int, Fraction}
+        assert type(chi.constant()) is Fraction
+    assert products == []
+
+
+def test_hrr_oracle_runs_one_symbolic_hrr(monkeypatch):
+    from p1p3bundle import claims
+
+    calls = []
+    euler = chern.euler_characteristic
+    monkeypatch.setattr(chern, "euler_characteristic", lambda b: calls.append(b) or euler(b))
+    result = claims.get_claim("hrr-oracle").check()
+    assert result.ok and len(calls) == 1

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -118,14 +119,24 @@ def _inclusions():
     return maps
 
 
+_numbers = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+def _is_scalar(x):
+    """Every coefficient of x is a plain number, none a ParamPoly."""
+    return all(isinstance(c, (int, Fraction)) for c in x.coeffs.values())
+
+
 @st.composite
 def _p1xp3_classes(draw):
-    # each basis coefficient is u + v t with small ints u, v and a formal t
+    # each basis coefficient is u + v t with a small number u, a small int v
+    # and a formal t, or in an all-scalar class the plain number u
     ring, t = chow.p1xp3(), ParamPoly.var("t")
+    scalar = draw(st.booleans())
     out = ring.zero()
     for m in ring.monomials:
-        u, v = draw(st.integers(-3, 3)), draw(st.integers(-2, 2))
-        out = out + chow.GradedClass(ring, {m: ParamPoly.const(u) + v * t})
+        u = draw(_numbers)
+        out = out + chow.GradedClass(ring, {m: u if scalar else u + draw(st.integers(-2, 2)) * t})
     return out
 
 
@@ -137,6 +148,37 @@ def test_pullback_respects_one_sum_and_product(x, y, name):
     assert chow.pullback(chow.p1xp3().one(), images) == target.one()
     assert chow.pullback(x + y, images) == chow.pullback(x, images) + chow.pullback(y, images)
     assert chow.pullback(x * y, images) == chow.pullback(x, images) * chow.pullback(y, images)
+    if _is_scalar(x) and _is_scalar(y):  # numbers stay numbers through every operation
+        assert all(_is_scalar(z) for z in (x + y, x * y, chow.pullback(x * y, images)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_numbers, min_size=8, max_size=8),
+       st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+def test_coefficients_have_one_canonical_form(us, vs):
+    ring, t = chow.p1xp3(), ParamPoly.var("t")
+    plain = ring.cls(dict(zip(ring.basis, us)))
+    wrapped = ring.cls({name: ParamPoly.const(u) for name, u in zip(ring.basis, us)})
+    cancelled = ring.cls({name: u + v * t - v * t for name, u, v in zip(ring.basis, us, vs)})
+    for x in (wrapped, cancelled):
+        assert x == plain and hash(x) == hash(plain) and str(x) == str(plain)
+        assert _is_scalar(x)
+    assert all(plain.coeff(name) == ParamPoly.const(u) for name, u in zip(ring.basis, us))
+    formal = ring.cls({name: u + v * t for name, u, v in zip(ring.basis, us, vs)})
+    assert (formal - formal).is_zero() and formal - t * ring.cls(dict(zip(ring.basis, vs))) == plain
+
+
+def test_floats_are_rejected_where_a_coefficient_enters():
+    ring = chow.p1xp3()
+    h1 = ring.gen("h1")
+    entries = [lambda: ParamPoly.const(0.1), lambda: ParamPoly.const("1/2"),
+               lambda: ring.cls({"h1": 0.5}), lambda: ring.cls({"h1": "1/2"}),
+               lambda: 0.5 * h1, lambda: h1 * 0.5, lambda: h1 + 0.5, lambda: 0.5 + h1,
+               lambda: h1 - 0.5, lambda: 0.5 - h1]
+    for entry in entries:
+        with pytest.raises(InvalidParameterError):
+            entry()
+    assert h1 != 0.5 and ring.one() != 1.0  # a float is never a coefficient, so never equal
 
 
 def test_pullback_rejects_images_that_do_not_fit():

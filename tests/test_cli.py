@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -13,8 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import p1p3bundle
-from p1p3bundle import cli
-from p1p3bundle.errors import PencilParseError
+from p1p3bundle import claims, cli
+from p1p3bundle.errors import PencilParseError, SolverError
 from p1p3bundle.poly import ParamPoly
 
 
@@ -35,6 +36,24 @@ def test_verify_all_claims_pass(capsys):
 def test_verify_unknown_claim_exits_2(capsys):
     assert cli.main(["verify", "--claim", "nonexistent"]) == 2
     assert "unknown claim" in capsys.readouterr().err
+
+
+def test_verify_reports_a_raising_check_as_a_fail(capsys, monkeypatch):
+    def raising():
+        raise SolverError("no solution")
+
+    claim = claims.REGISTRY["prop5.4"]
+    monkeypatch.setitem(claims.REGISTRY, "prop5.4", dataclasses.replace(claim, check=raising))
+    assert cli.main(["verify", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"] == {"pass": 24, "fail": 1}
+    failed = [r for r in report["claims"] if r["status"] == "FAIL"]
+    assert [(r["id"], r["computed"]) for r in failed] == [("prop5.4", "SolverError: no solution")]
+    assert all(set(r) == {"id", "status", "computed", "expected", "anchor", "elapsed_ms"}
+               for r in report["claims"])
+    assert cli.main(["verify", "--claim", "prop5.4", "--claim", "eq5"]) == 1
+    out = capsys.readouterr().out
+    assert "computed: SolverError: no solution" in out and "1 passed, 1 failed" in out
 
 
 def test_verify_json_schema(capsys):
