@@ -9,6 +9,7 @@ each check imports the modules it uses when it runs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import UnknownClaimError
@@ -22,11 +23,7 @@ class Claim:
     check: object  # () -> ClaimResult
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    ok: bool
-    computed: str
-    expected: str
+ClaimResult = namedtuple("ClaimResult", "ok computed expected")
 
 
 def _result(computed, expected):

@@ -10,38 +10,29 @@ on P1xP3 and on the Hirzebruch surfaces alike) live in `chern`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import InconsistentError, InvalidParameterError
 
 
-@dataclass(frozen=True)
-class CohomTable:
-    """h^0..h^n of a sheaf on an n-fold."""
+class CohomTable(tuple):
+    """h^0..h^n of a sheaf on an n-fold, as a tuple of nonnegative ints."""
 
-    dims: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(self.dims))
-        if any(d < 0 for d in self.dims):
+    def __new__(cls, dims):
+        self = tuple.__new__(cls, dims)
+        if self and min(self) < 0:
             raise InvalidParameterError("cohomology dimensions must be nonnegative")
-
-    def __getitem__(self, i):
-        return self.dims[i]
-
-    def __len__(self):
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
+        return self
 
     @property
     def chi(self):
-        return sum((-1) ** i * d for i, d in enumerate(self.dims))
+        return sum((-1) ** i * d for i, d in enumerate(self))
 
     def reversed(self):
-        return CohomTable(tuple(reversed(self.dims)))
+        return CohomTable(self[::-1])
 
 
 def cohom_pn(n, k):
@@ -53,7 +44,7 @@ def cohom_pn(n, k):
         dims[0] = comb(n + k, n)
     if -k - 1 >= n:
         dims[n] = comb(-k - 1, n)
-    return CohomTable(tuple(dims))
+    return CohomTable(dims)
 
 
 def kunneth(ta, tb):
@@ -61,9 +52,10 @@ def kunneth(ta, tb):
     n = len(ta) + len(tb) - 2
     dims = [0] * (n + 1)
     for p, a in enumerate(ta):
-        for q, b in enumerate(tb):
-            dims[p + q] += a * b
-    return CohomTable(tuple(dims))
+        if a:
+            for q, b in enumerate(tb):
+                dims[p + q] += a * b
+    return CohomTable(dims)
 
 
 def cohom_p1xp3(a, b):
@@ -98,40 +90,35 @@ def cohom_sigma0(alpha, beta):
 _SIGNS = (-1, 1, -1)
 
 
-@dataclass(frozen=True)
-class MapRankHint:
+class MapRankHint(namedtuple("MapRankHint", "kind index rank")):
     """Declared rank of one map in the long exact sequence.
 
     kind: "A->B" (induced, index i), "B->C" (induced, index i), or
     "connecting" (H^i(C) -> H^{i+1}(A)).
     """
 
-    kind: str
-    index: int
-    rank: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LesProblem:
+class LesProblem(namedtuple("LesProblem", "a b c hints")):
     """0 -> A -> B -> C -> 0 with exactly one slot unknown (None)."""
 
-    a: object
-    b: object
-    c: object
-    hints: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(x is None for x in (self.a, self.b, self.c)) != 1:
+    def __new__(cls, a, b, c, hints=()):
+        if sum(x is None for x in (a, b, c)) != 1:
             raise InvalidParameterError("exactly one slot must be unknown")
-        if len({len(t) for t in (self.a, self.b, self.c) if t is not None}) != 1:
+        if len({len(t) for t in (a, b, c) if t is not None}) != 1:
             raise InvalidParameterError("the known tables must have the same length")
+        return super().__new__(cls, a, b, c, hints)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Underdetermined:
-    """All feasible tables when the sequence does not pin a unique answer."""
-
-    tables: tuple
+# All feasible tables when the sequence does not pin a unique answer.
+Underdetermined = namedtuple("Underdetermined", "tables")
 
 
 def _minus(x, y):

@@ -11,7 +11,7 @@ only the integer cohomology tables on Sigma_0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,12 +70,7 @@ def classify_embeddings(e_max):
 # -- the double-structure solver ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoubleStructureSolution:
-    e: int
-    x: int
-    y: int
-    d: int
+DoubleStructureSolution = namedtuple("DoubleStructureSolution", "e x y d")
 
 
 @lru_cache(maxsize=None)
@@ -151,10 +146,8 @@ def prop54_obstruction():
 # -- normality criteria ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalityStatus:
-    normal: bool
-    codim_bound: int  # 0 when normal
+# codim_bound is 0 when normal
+NormalityStatus = namedtuple("NormalityStatus", "normal codim_bound")
 
 
 def normality_status(a, b):

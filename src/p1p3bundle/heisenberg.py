@@ -15,7 +15,7 @@ number, which the caller computes in the Chow ring (`chow`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 
 from .errors import CapExceededError, InvalidParameterError
@@ -73,10 +73,8 @@ def _powers(g, mul, identity, cap):
     return _orbit(identity, (lambda x: mul(x, g),), cap)
 
 
-@dataclass(frozen=True)
-class FinMatGroup:
-    elements: frozenset
-    generators: tuple
+class FinMatGroup(namedtuple("FinMatGroup", "elements generators")):
+    __slots__ = ()
 
     @property
     def order(self):

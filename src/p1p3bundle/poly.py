@@ -4,7 +4,9 @@ Sparse multivariate polynomials in named formal parameters over the
 rationals; on integer coefficient lists, a univariate gcd (primitive
 pseudo-remainder sequence) and radical, and rank by fraction-free
 (Bareiss) elimination over Z[x]; and reduced row echelon form over Q.
-Everything here is immutable and pure.
+A rational number is an `int` when it is integral and a `Fraction` only
+where it has a denominator; no float ever enters.  Everything here is
+immutable and pure.
 """
 
 from __future__ import annotations
@@ -31,11 +33,16 @@ def _mono_degree(mono):
 
 
 class ParamPoly:
-    """Sparse polynomial with Fraction coefficients in named variables.
+    """Sparse polynomial with rational coefficients in named variables.
 
     Terms are stored as a dict monomial -> coefficient with no zero
-    coefficients.  The canonical term order (used for serialization) is
-    graded lexicographic over alphabetically sorted variable names.
+    coefficients; an integral coefficient is stored as an `int` (a
+    `Fraction` with denominator 1 becomes its numerator), any other as a
+    `Fraction`, so the arithmetic stays in ints wherever it can.  The
+    accessors `constant`, `coefficient` and `evaluate` return Fractions
+    (`value` returns the number as it sums, an int on integer points).
+    The canonical term order (used for serialization) is graded
+    lexicographic over alphabetically sorted variable names.
     """
 
     __slots__ = ("terms",)
@@ -43,16 +50,22 @@ class ParamPoly:
     def __init__(self, terms=None):
         if terms is None:
             terms = {}
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = kept = {}
+        for m, c in terms.items():
+            if c.__class__ is not int:
+                if not isinstance(c, (int, Fraction)):  # a float is not the rational it shows
+                    raise InvalidParameterError("a coefficient must be an int or a Fraction: %r"
+                                                % (c,))
+                if c.denominator == 1:
+                    c = int(c.numerator)
+            if c:
+                kept[m] = c
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def const(value):
-        if not isinstance(value, (int, Fraction)):  # a float is not the rational it shows
-            raise InvalidParameterError("a constant must be an int or a Fraction: %r" % (value,))
-        c = Fraction(value)
-        return ParamPoly({_ONE: c} if c else {})
+        return ParamPoly({_ONE: value})
 
     @staticmethod
     def var(name, exponent=1):
@@ -60,7 +73,7 @@ class ParamPoly:
             raise InvalidParameterError("negative exponent")
         if exponent == 0:
             return ParamPoly.const(1)
-        return ParamPoly({((name, exponent),): Fraction(1)})
+        return ParamPoly({((name, exponent),): 1})
 
     @staticmethod
     def _coerce(x):
@@ -79,13 +92,13 @@ class ParamPoly:
         return bool(self.terms)
 
     def is_constant(self):
-        return all(m == _ONE for m in self.terms)
+        return self.terms.keys() <= {_ONE}
 
     def constant(self):
         """The value of a constant polynomial, as a Fraction."""
         if not self.is_constant():
             raise InvalidParameterError("polynomial is not constant: %s" % self)
-        return self.terms.get(_ONE, Fraction(0))
+        return Fraction(self.terms.get(_ONE, 0))
 
     def variables(self):
         return sorted({v for m in self.terms for v, _ in m})
@@ -104,7 +117,7 @@ class ParamPoly:
         return d
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
+        return Fraction(self.terms.get(tuple(sorted(mono)), 0))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -114,7 +127,7 @@ class ParamPoly:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return ParamPoly(terms)
 
     __radd__ = __add__
@@ -129,7 +142,7 @@ class ParamPoly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return ParamPoly._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):  # a number scales each coefficient
@@ -141,7 +154,7 @@ class ParamPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return ParamPoly(terms)
 
     __rmul__ = __mul__
@@ -185,19 +198,26 @@ class ParamPoly:
             result = result + term
         return result
 
-    def evaluate(self, assignment):
-        """Evaluate at a full numeric point; returns a Fraction (fast path).
+    def value(self, assignment):
+        """The value at a full point of ints and Fractions: an int or a Fraction.
 
         The powers of a monomial are multiplied first, so that on integer
-        points each term costs one Fraction product, by the coefficient.
+        points the sum stays in ints and only a term whose coefficient has
+        a denominator costs a Fraction product.
         """
-        total = Fraction(0)
+        total = 0
         for mono, coeff in self.terms.items():
             v = 1
             for name, e in mono:
                 v *= assignment[name] ** e
             total += coeff * v
-        return total
+        if total.__class__ is int or isinstance(total, Fraction):
+            return total
+        raise InvalidParameterError("a point must have int or Fraction values: %r" % (assignment,))
+
+    def evaluate(self, assignment):
+        """The value at a full point of ints and Fractions, as a Fraction."""
+        return Fraction(self.value(assignment))
 
     def collect(self, on_vars):
         """Group terms by their monomial in `on_vars`.
@@ -211,7 +231,7 @@ class ParamPoly:
             outer = tuple((v, e) for v, e in mono if v in on_vars)
             inner = tuple((v, e) for v, e in mono if v not in on_vars)
             groups.setdefault(outer, {})
-            groups[outer][inner] = groups[outer].get(inner, Fraction(0)) + coeff
+            groups[outer][inner] = groups[outer].get(inner, 0) + coeff
         return {m: ParamPoly(ts) for m, ts in groups.items()}
 
     # -- display ---------------------------------------------------------------
@@ -407,13 +427,21 @@ def bareiss_rank(rows):
 # -- exact linear algebra ------------------------------------------------------
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rank, pivot columns, rows).
+def _fraction(x):
+    if not isinstance(x, (int, Fraction)):  # a float is not the rational it shows
+        raise InvalidParameterError("a matrix entry must be an int or a Fraction: %r" % (x,))
+    return Fraction(x)
 
-    Entries are Fractions (with int entries `/` would give floats); +, -,
-    *, / and truthiness are all it uses.
+
+def rref(rows):
+    """Reduced row echelon form over Q; returns (rank, pivot columns, rows).
+
+    Entries may be ints or Fractions; each is made a Fraction once on entry
+    (with int entries `/` would give floats), so the rows returned hold
+    Fractions.  Anything else, a float included, raises
+    InvalidParameterError.
     """
-    m = [list(r) for r in rows]
+    m = [[_fraction(x) for x in r] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []

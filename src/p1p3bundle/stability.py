@@ -9,7 +9,7 @@ not decide stay "unknown".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,22 +18,25 @@ from .errors import InconsistentError, InvalidParameterError
 from .poly import ParamPoly
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(namedtuple("Polarization", "m n")):
     """An ample class O(m, n): requires int m > 0 and n > 0."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_ints(self.m, self.n)
-        if self.m <= 0 or self.n <= 0:
+    def __new__(cls, m, n):
+        _require_ints(m, n)
+        if m <= 0 or n <= 0:
             raise InvalidParameterError("O(m,n) is ample only for m > 0, n > 0")
+        return tuple.__new__(cls, (m, n))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
-def _require_ints(*values):  # a float such as 0.1 is not the rational it shows
-    if not all(type(x) is int for x in values):
-        raise InvalidParameterError("expected ints, got %s" % (values,))
+def _require_ints(x, y):  # a float such as 0.1 is not the rational it shows
+    if type(x) is not int or type(y) is not int:
+        raise InvalidParameterError("expected ints, got %s" % ((x, y),))
 
 
 # (p, q) with h^0(I_X(p, q)) != 0: the octic image, the degree-4 quadric
@@ -57,7 +60,8 @@ def slope_dot(line, pol):
     the Chow ring, as a constant ParamPoly."""
     a, b = line
     _require_ints(a, b)
-    return ParamPoly.const(_slope_poly().evaluate({"a": a, "b": b, "m": pol.m, "n": pol.n}))
+    m, n = pol
+    return ParamPoly.const(_slope_poly().value({"a": a, "b": b, "m": m, "n": n}))
 
 
 def subsheaf_status(p, q):
@@ -122,7 +126,8 @@ def gap_forms():
 def stability_decide(pol):
     """'stable', 'semistable_not_stable' or 'unstable' w.r.t. O(m, n): the
     sign of the largest gap form at (m, n)."""
-    worst = max(u * pol.n + v * pol.m for u, v in gap_forms())
+    m, n = pol
+    worst = max(u * n + v * m for u, v in gap_forms())
     return "stable" if worst < 0 else "semistable_not_stable" if worst == 0 else "unstable"
 
 

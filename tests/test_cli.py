@@ -416,9 +416,10 @@ def test_pencil_indented_comment_is_ignored(tmp_path, capsys):
 _COMPUTATION = {"chern", "chow", "cohom", "geometry", "heisenberg", "pencil", "poly", "stability"}
 
 
-def _modules_loaded_by(code):
-    """The package modules a fresh interpreter has loaded after running `code`."""
-    script = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('p1p3bundle')))"
+def _modules_loaded_by(code, package="p1p3bundle"):
+    """The modules of `package` a fresh interpreter has loaded after running `code`."""
+    script = (code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith(%r)))"
+              % package)
     env = dict(os.environ, PYTHONPATH=str(Path(p1p3bundle.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
@@ -434,6 +435,12 @@ def test_commands_load_only_the_modules_they_use():
     ]:
         loaded = _modules_loaded_by("from p1p3bundle import cli\nassert cli.main(%r) == 0" % argv)
         assert loaded & _COMPUTATION == used, argv
+
+
+def test_computation_modules_do_not_load_dataclasses():
+    # their records are tuples; only the claim registry is a dataclass
+    code = "from p1p3bundle import cohom, stability, geometry, heisenberg"
+    assert _modules_loaded_by(code, "dataclasses") == set()
 
 
 def test_usage_error_exits_2():

@@ -50,11 +50,27 @@ def test_cohom_sigma0():
 
 
 def test_cohom_table_validation():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="must be nonnegative"):
         cohom.CohomTable((1, -1))
+    with pytest.raises(InvalidParameterError, match="must be nonnegative"):
+        cohom.CohomTable([0, 3, -2])
     t = cohom.CohomTable((1, 2, 1))
     assert t.chi == 0
     assert tuple(t.reversed()) == (1, 2, 1)
+    assert type(t.reversed()) is cohom.CohomTable and cohom.CohomTable([4, 0]) == (4, 0)
+
+
+def test_records_are_read_only():
+    t = cohom.CohomTable((1, 0))
+    hint = cohom.MapRankHint("B->C", 0, 1)
+    problem = cohom.LesProblem(a=None, b=t, c=t, hints=(hint,))
+    records = [(t, "dims"), (hint, "rank"), (problem, "a"), (cohom.Underdetermined(()), "tables")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(InvalidParameterError, match="exactly one slot"):
+        problem._replace(a=t)
+    assert problem._replace(hints=()) == cohom.LesProblem(None, t, t)
 
 
 def test_les_ideal_sheaf_of_abelian_surface():
@@ -121,16 +137,16 @@ def test_les_solution_properties():
 
 def test_les_requires_exactly_one_unknown():
     t = cohom.CohomTable((1, 0))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="exactly one slot must be unknown"):
         cohom.LesProblem(a=t, b=t, c=t)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="exactly one slot must be unknown"):
         cohom.LesProblem(a=None, b=None, c=t)
 
 
 def test_les_rejects_tables_of_different_lengths():
-    with pytest.raises(InvalidParameterError, match="same length"):
+    with pytest.raises(InvalidParameterError, match="the known tables must have the same length"):
         cohom.LesProblem(a=(1, 0), b=None, c=(1, 0, 0))
-    with pytest.raises(InvalidParameterError, match="same length"):
+    with pytest.raises(InvalidParameterError, match="the known tables must have the same length"):
         cohom.LesProblem(a=None, b=cohom.CohomTable((1, 0, 0, 0)), c=(1, None, None))
 
 

@@ -128,6 +128,14 @@ def test_normality_for_large_b():
     assert geometry.normality_status(0, 1).normal
 
 
+def test_records_are_read_only():
+    records = [(geometry.double_structure_solve(0), "x"), (geometry.normality_status(5, 2), "normal"),
+               (claims.ClaimResult(True, "1", "1"), "ok")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+
 def test_normality_bounds():
     assert geometry.normality_status(5, 2) == geometry.NormalityStatus(False, 6)
     assert geometry.normality_status(3, 0) == geometry.NormalityStatus(False, 6)

@@ -13,6 +13,13 @@ def test_closure_order_eight():
     assert g.order == 8
 
 
+def test_group_is_read_only():
+    g = hb.group_closure((hb.TAU,))
+    with pytest.raises(AttributeError):
+        g.elements = frozenset()
+    assert g.generators == (hb.TAU,) and hb.IDENTITY_PAIR in g.elements
+
+
 def test_trivial_closures():
     assert hb.group_closure((hb.IDENTITY_PAIR,)).order == 1
     assert hb.group_closure((hb.TAU,)).order == 2

@@ -157,6 +157,54 @@ def test_evaluate_returns_the_fraction_of_subs(p, values):
     assert type(integral.evaluate(point)) is Fraction
 
 
+_MONOS = ((), (("a", 1),), (("a", 1), ("b", 2)), (("c", 3),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=4, max_size=4), _polys())
+def test_coefficients_have_one_canonical_form(ns, p):
+    plain = ParamPoly(dict(zip(_MONOS, ns)))
+    wrapped = ParamPoly({m: Fraction(n) for m, n in zip(_MONOS, ns)})
+    built = sum((ParamPoly.const(Fraction(n)) * ParamPoly({m: Fraction(1)})
+                 for m, n in zip(_MONOS, ns)), ParamPoly.const(Fraction(0)))
+    cancelled = plain + p - p
+    rescaled = plain * Fraction(1, 3) * 3
+    for x in (plain, wrapped, built, cancelled, rescaled):
+        assert x == plain and hash(x) == hash(plain) and str(x) == str(plain)
+        assert all(type(c) is int for c in x.terms.values())
+    point = {"a": 2, "b": -1, "c": 3}
+    for m, n in zip(_MONOS, ns):
+        assert type(plain.coefficient(m)) is Fraction and plain.coefficient(m) == n
+        assert type(ParamPoly.const(n).constant()) is Fraction
+    assert type(plain.evaluate(point)) is Fraction and type(plain.value(point)) is int
+    assert plain.value(point) == plain.evaluate(point)
+    assert type((plain + Fraction(1, 2)).value(point)) is Fraction
+    monomials = [ParamPoly({m: 1}).evaluate(point) for m in _MONOS]
+    assert plain.evaluate(point) == sum(n * v for n, v in zip(ns, monomials))
+
+
+def test_floats_are_rejected():
+    a = ParamPoly.var("a")
+    for entry in (lambda: ParamPoly.const(0.5), lambda: ParamPoly.const(0.0),
+                  lambda: ParamPoly({(): 0.5}), lambda: ParamPoly({(): "1/2"}),
+                  lambda: a.evaluate({"a": 0.5}), lambda: a.value({"a": 0.5}),
+                  lambda: rref([[1, 0.5]])):
+        with pytest.raises(InvalidParameterError):
+            entry()
+    for entry in (lambda: a + 0.5, lambda: 0.5 - a, lambda: a * 0.5, lambda: 0.5 * a):
+        with pytest.raises(TypeError):
+            entry()
+    assert a != 0.5 and ParamPoly.const(1) != 1.0
+
+
+def test_rref_returns_fractions_for_int_input():
+    rank, pivots, reduced = rref([[2, 1], [4, 4]])
+    assert (rank, pivots, reduced) == (2, [0, 1], [[1, 0], [0, 1]])
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    _, _, reduced = rref([[2, 1, 1]])
+    assert reduced == [[1, Fraction(1, 2), Fraction(1, 2)]]
+
+
 def test_rref_and_kernel_over_fractions():
     rows = [
         [Fraction(1), Fraction(2), Fraction(3)],

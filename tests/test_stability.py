@@ -10,17 +10,29 @@ from p1p3bundle.poly import ParamPoly
 
 
 def test_polarization_requires_positive_entries():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"O\(m,n\) is ample only for m > 0, n > 0"):
         stability.Polarization(0, 1)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="ample only"):
         stability.Polarization(1, -2)
+
+
+def test_polarization_is_read_only():
+    pol = stability.Polarization(2, 3)
+    with pytest.raises(AttributeError):
+        pol.m = 1
+    with pytest.raises(InvalidParameterError, match="ample only"):
+        pol._replace(n=0)
+    with pytest.raises(InvalidParameterError, match="expected ints"):
+        pol._replace(m=0.1)
+    assert pol._replace(m=5) == stability.Polarization(5, 3)
+    assert repr(pol) == "Polarization(m=2, n=3)"
 
 
 def test_non_int_parameters_are_rejected():
     # O(0.1, 1.8) reads as n = 18m, on the boundary, but the binary floats are
     # other rationals, and float arithmetic would call it stable
     for m, n in [(0.1, 1.8), (0.1, 1), (1, 2.0), (Fraction(1), 1), (True, 1)]:
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="expected ints"):
             stability.Polarization(m, n)
     for line in [(1, 2.0), (0.5, 2), (Fraction(1), 2)]:
         with pytest.raises(InvalidParameterError):
