@@ -19,7 +19,6 @@ from math import factorial
 
 from . import chow
 from .errors import DegreeMismatchError, InvalidParameterError, RingMismatchError
-from .poly import ParamPoly
 
 
 class BundleSymbol:
@@ -27,7 +26,7 @@ class BundleSymbol:
 
     def __init__(self, ring, rank, chern_classes=()):
         self.ring = ring
-        self.rank = rank if isinstance(rank, ParamPoly) else ParamPoly.const(rank)
+        self.rank = chow._scalar(rank)  # a number, or a ParamPoly only when formal
         cs = list(chern_classes)
         while len(cs) < ring.dimension:
             cs.append(ring.zero())
@@ -102,8 +101,7 @@ def twist(bundle, line_class):
         raise RingMismatchError("twist class on the wrong ring")
     if not line_class.is_homogeneous(1):
         raise DegreeMismatchError("twist class must have degree 1")
-    ring, r = bundle.ring, bundle.rank
-    rank = r.constant() if r.is_constant() else r  # plain-number binomials when it can
+    ring, rank = bundle.ring, bundle.rank
     cs = [ring.zero() for _ in range(ring.dimension + 1)]
     for i in range(ring.dimension + 1):
         term, binom = bundle.c(i), 1  # c_i(E) c1(L)^j and C(rank - i, j)
@@ -117,13 +115,13 @@ def twist(bundle, line_class):
                     break
                 term = term * line_class
             cs[i + j] = cs[i + j] + (term if binom == 1 else term * binom)
-    return BundleSymbol(ring, r, cs[1:])
+    return BundleSymbol(ring, rank, cs[1:])
 
 
 def direct_sum(*bundles):
     """Whitney sum: ranks add, total Chern classes multiply."""
     ring = bundles[0].ring
-    rank = ParamPoly.const(0)
+    rank = 0
     total = ring.one()
     for b in bundles:
         if b.ring is not ring:

@@ -90,7 +90,7 @@ def _check_prop31():
     from . import stability
 
     pol = stability.Polarization(1, 1)
-    threshold = stability.slope_dot((1, 2), pol).constant()
+    threshold = stability.slope_dot(stability._det(), pol).constant() / 2
     verdict = stability.stability_decide(pol)
     return _result(
         "threshold=%s, verdict=%s" % (threshold, verdict),

@@ -156,9 +156,11 @@ class FinAbGroup:
     """Finite abelian group given by cyclic invariants d1 | d2 | ... ."""
 
     def __init__(self, invariants):
-        ds = [int(d) for d in invariants]
-        if any(d <= 0 for d in ds):
-            raise InvalidParameterError("cyclic invariants must be positive")
+        ds = tuple(invariants)
+        # ints and Fractions have a denominator, floats do not: int(4.9) would be 4
+        if not all(getattr(d, "denominator", 0) == 1 and d > 0 for d in ds):
+            raise InvalidParameterError("cyclic invariants must be positive integers: %s" % (ds,))
+        ds = [int(d) for d in ds]
         # Smith-style normalization in one pass: after step i, d_i divides
         # every later entry, and later (gcd, lcm) replacements keep that.
         for i in range(len(ds)):

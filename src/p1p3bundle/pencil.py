@@ -15,7 +15,6 @@ radical over Z), and the family of singular lines of a rank-2 pencil
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
@@ -26,7 +25,7 @@ from .errors import (
     RankMismatchError,
     RankTooHighError,
 )
-from .poly import _c_gcd, _c_radical, _strip, _z_mul, _z_sub, bareiss_rank
+from .poly import _c_gcd, _c_radical, _fraction, _strip, _z_mul, _z_sub, bareiss_rank
 
 # Index pairs a < b of the 2x2 minors and of Plücker coordinates.  The
 # complement of PAIRS[k] is PAIRS[5 - k]; _HODGE_SIGNS[k] is the sign of the
@@ -142,16 +141,17 @@ class QuadricPencil:
         return self._rank
 
     def rank_at(self, l0, m0):
-        """Exact rank of the quadric at the parameter point (l0, m0).
+        """Exact rank of the quadric at the parameter point (l0, m0), given
+        as ints or Fractions (anything else raises InvalidParameterError).
 
         The point is scaled by the lcm of its denominators to integers
         (a, b), the same projective point; each integer entry sum c_i l^i is
         read as the form sum c_i a^i b^(d-i), and the constant matrix goes
         to `bareiss_rank`.
         """
+        l0, m0 = _fraction(l0), _fraction(m0)
         if l0 == 0 and m0 == 0:
             raise InvalidParameterError("(0, 0) is not a point of the parameter line")
-        l0, m0 = Fraction(l0), Fraction(m0)
         scale = lcm(l0.denominator, m0.denominator)
         a, b = int(l0 * scale), int(m0 * scale)
         d = self.degree

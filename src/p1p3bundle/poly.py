@@ -429,7 +429,7 @@ def bareiss_rank(rows):
 
 def _fraction(x):
     if not isinstance(x, (int, Fraction)):  # a float is not the rational it shows
-        raise InvalidParameterError("a matrix entry must be an int or a Fraction: %r" % (x,))
+        raise InvalidParameterError("expected an int or a Fraction, got %r" % (x,))
     return Fraction(x)
 
 

@@ -1,10 +1,11 @@
 """Slope stability of the rank-2 bundle with respect to O(m, n).
 
 Stability is the sign of one integer linear form per destabilizer corner,
-read off the Chow ring once.  The subsheaf-existence oracle is
-deliberately three-valued: the vanishing facts and the shipped positive
-instances are all the argument needs, and pairs the source material does
-not decide stay "unknown".
+read off the Chow ring once, with det E read off c1(E).  The
+subsheaf-existence oracle is deliberately three-valued: the vanishing facts
+and the shipped positive instances are all the argument needs, and pairs
+the source material does not decide stay "unknown".  Only a corner the
+oracle answers 'yes' for witnesses a destabilizing subsheaf.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ def _require_ints(x, y):  # a float such as 0.1 is not the rational it shows
         raise InvalidParameterError("expected ints, got %s" % ((x, y),))
 
 
-# (p, q) with h^0(I_X(p, q)) != 0: the octic image, the degree-4 quadric
-# pencil hypersurface, and the Serre-construction twist.
-POSITIVE_INSTANCES = ((0, 8), (4, 2), (2, 4))
+# (p, q) with h^0(I_X(p, q)) != 0 beyond the q >= 8 clause (the octic
+# image): the degree-4 quadric pencil hypersurface and the Serre-construction
+# twist.  Paper data that no destabilizer corner of E reaches.
+POSITIVE_INSTANCES = ((4, 2), (2, 4))
 
 
 @lru_cache(maxsize=None)
@@ -85,21 +87,36 @@ def subsheaf_status(p, q):
 
 
 @lru_cache(maxsize=None)
+def _det():
+    """det E = O(P, Q) with c1(E) = P h1 + Q h3: P and Q are the degrees of
+    c1(E) on a vertical and on a horizontal line.  `chern` loads only here,
+    so a slope query does not load it."""
+    from . import chern
+
+    c1 = chern.abelian_surface_bundle().c1
+    P, Q = (c1.coeff(g).value({}) for g in ("h1", "h3"))
+    _require_ints(P, Q)
+    return P, Q
+
+
+@lru_cache(maxsize=None)
 def destabilizer_corners():
     """Slope-maximal corners of the regions where O(a,b) -> E may be nonzero.
 
-    A nonzero map forces a hypersurface of bidegree (2-a, 4-b) through X,
-    so subsheaf_status(2-a, 4-b) must not be 'no'.  The corners are the
-    maximal elements of that set, found column by column from a = 2 down:
-    p >= 0 and q >= 2 give a <= 2 and b <= 2, q >= 8 is always 'yes' so no
-    column's top lies below b = -4, and the scan stops at the first column
-    reaching b = 2 (at the latest a = -2, from the instance (4, 2)).  Slope
-    is strictly increasing in a and b for any positive polarization.
+    With det E = O(P, Q), a nonzero map forces a hypersurface of bidegree
+    (P-a, Q-b) through X, so subsheaf_status(P-a, Q-b) must not be 'no'.
+    The corners are the maximal elements of that set, found column by
+    column from a = P down: the clauses p >= 0 and q >= 2 give a <= P and
+    b <= Q-2, q >= 8 is always 'yes' so no column's top lies below b = Q-8,
+    and the scan stops at the first column reaching b = Q-2 (at the latest
+    a = P-3, since q = 2 is 'no' only for p <= 2).  Slope is strictly
+    increasing in a and b for any positive polarization.
     """
+    P, Q = _det()
     corners = []
-    a, best = 2, -5  # -5: below every column's top
-    while best < 2:
-        b = next(b for b in range(2, -5, -1) if subsheaf_status(2 - a, 4 - b) != "no")
+    a, best = P, Q - 9  # below every column's top
+    while best < Q - 2:
+        b = next(b for b in range(Q - 2, Q - 9, -1) if subsheaf_status(P - a, Q - b) != "no")
         if b > best:
             corners.append((a, b))
             best = b
@@ -109,34 +126,49 @@ def destabilizer_corners():
 
 @lru_cache(maxsize=None)
 def gap_forms():
-    """(u, v) for each destabilizer corner c, with slope(c) - slope(1, 2)
-    = n^2 (u n + v m); InconsistentError unless that holds with int u, v."""
+    """(u, v, witnessed) for each destabilizer corner c, with 2 slope(c) -
+    slope(det E) = n^2 (u n + v m), and witnessed when the oracle answers
+    'yes' for c; InconsistentError unless that holds with int u, v."""
     m, n = ParamPoly.var("m"), ParamPoly.var("n")
-    half = _slope_poly().subs({"a": 1, "b": 2})  # half of det E = O(2,4)
+    P, Q = _det()
+    det = _slope_poly().subs({"a": P, "b": Q})
     forms = []
     for a, b in destabilizer_corners():
-        gap = _slope_poly().subs({"a": a, "b": b}) - half
+        gap = 2 * _slope_poly().subs({"a": a, "b": b}) - det
         u, v = gap.coefficient((("n", 3),)), gap.coefficient((("m", 1), ("n", 2)))
         if gap != n * n * (u * n + v * m) or u.denominator != 1 or v.denominator != 1:
             raise InconsistentError("slope gap %s at %s is not n^2 (u n + v m)" % (gap, (a, b)))
-        forms.append((int(u), int(v)))
+        forms.append((int(u), int(v), subsheaf_status(P - a, Q - b) == "yes"))
     return tuple(forms)
 
 
 def stability_decide(pol):
     """'stable', 'semistable_not_stable' or 'unstable' w.r.t. O(m, n): the
-    sign of the largest gap form at (m, n)."""
+    sign of the largest gap form at (m, n).  A verdict other than 'stable'
+    needs a witnessed form attaining it, else InconsistentError."""
     m, n = pol
-    worst = max(u * n + v * m for u, v in gap_forms())
-    return "stable" if worst < 0 else "semistable_not_stable" if worst == 0 else "unstable"
+    forms = gap_forms()
+    worst = max(u * n + v * m for u, v, _ in forms)
+    if worst < 0:
+        return "stable"
+    for u, v, witnessed in forms:
+        if witnessed and u * n + v * m == worst:
+            return "semistable_not_stable" if worst == 0 else "unstable"
+    raise InconsistentError("no witnessed destabilizer attains the maximum at %s" % (pol,))
 
 
 def stable_ratio():
     """The r with E stable for O(m, n) exactly when n < r*m, over all
     m, n > 0 (None: no form bounds it).  A form with u <= 0 and v < 0, or
     u < 0 = v, is negative on the whole quadrant, one with u > 0 > v below
-    its ray n = (-v/u) m; any other raises InconsistentError."""
+    its ray n = (-v/u) m; any other raises InconsistentError, and so does a
+    lowest ray that no witnessed form attains."""
     forms = gap_forms()
-    if not all(v < 0 or (v == 0 and u < 0) for u, v in forms):
+    if not all(v < 0 or (v == 0 and u < 0) for u, v, _ in forms):
         raise InconsistentError("gap forms %s are not each negative below a ray" % (forms,))
-    return min((Fraction(-v, u) for u, v in forms if u > 0), default=None)
+    # a witnessed form sorts first among those on the same ray
+    ratio, unwitnessed = min(((Fraction(-v, u), not w) for u, v, w in forms if u > 0),
+                             default=(None, False))
+    if unwitnessed:
+        raise InconsistentError("no witnessed destabilizer lies on the ray n = %s m" % ratio)
+    return ratio

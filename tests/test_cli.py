@@ -432,6 +432,9 @@ def test_commands_load_only_the_modules_they_use():
         (["verify", "--claim", "prop2.2", "--json"], {"heisenberg"}),
         (["calc", "cohom", "1", "2"], {"cohom"}),
         (["verify", "--claim", "intro-h1"], {"cohom"}),
+        (["calc", "slope", "1", "1", "1", "2"], {"stability", "chow", "poly"}),
+        # det E comes from c1(E), so the Section 3 claims load chern
+        (["verify", "--claim", "prop3.1"], {"stability", "chow", "poly", "chern"}),
     ]:
         loaded = _modules_loaded_by("from p1p3bundle import cli\nassert cli.main(%r) == 0" % argv)
         assert loaded & _COMPUTATION == used, argv

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
@@ -125,8 +126,11 @@ def test_finab_normalization():
     assert hb.FinAbGroup((2, 3)).invariants == (6,)
     assert hb.FinAbGroup((1, 1)).invariants == ()
     assert hb.FinAbGroup((10, 10)).order == 100
-    with pytest.raises(InvalidParameterError):
-        hb.FinAbGroup((0,))
+    assert hb.FinAbGroup((Fraction(4), 4)) == hb.FinAbGroup((4, 4))
+    # int() would read 4.9 as 4 and Fraction(9, 2) as 4
+    for invariants in [(0,), (4.9, 4), (4.0, 4), (Fraction(9, 2), 4), ("4", 4)]:
+        with pytest.raises(InvalidParameterError, match="must be positive integers"):
+            hb.FinAbGroup(invariants)
 
 
 def test_type_from_square():

@@ -89,6 +89,11 @@ def test_rank_at_validates_point():
     p = QuadricPencil.rank2_normal_form(1, 0, 1)
     with pytest.raises(InvalidParameterError):
         p.rank_at(0, 0)
+    # the binary float 0.1 is not 1/10
+    for l0, m0 in [(0.1, 1), (1, 0.5), (0.0, 0.0), ("1/2", 1)]:
+        with pytest.raises(InvalidParameterError, match="expected an int or a Fraction"):
+            p.rank_at(l0, m0)
+    assert p.rank_at(Fraction(1, 10), 1) == p.rank_at(1, 10)
 
 
 def test_normal_form_basics():

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p1p3bundle import claims, stability
+from p1p3bundle import claims, cli, stability
 from p1p3bundle.errors import InconsistentError, InvalidParameterError
 from p1p3bundle.poly import ParamPoly
 
@@ -74,6 +75,8 @@ def test_positive_instances_never_contradict_vanishing():
 
 
 def test_destabilizer_corners():
+    P, Q = stability._det()  # read off c1(E)
+    assert (P, Q) == (2, 4)
     corners = stability.destabilizer_corners()
     assert len(corners) == 3
     assert (2, -4) in corners
@@ -81,7 +84,7 @@ def test_destabilizer_corners():
     assert (1, 1) in corners
     # a nonzero map O(a,b) -> E forces a hypersurface through the surface
     for a, b in corners:
-        assert stability.subsheaf_status(2 - a, 4 - b) != "no"
+        assert stability.subsheaf_status(P - a, Q - b) != "no"
 
 
 def test_destabilizer_corners_come_from_the_oracle(monkeypatch):
@@ -125,7 +128,8 @@ def test_stability_decide_evaluates_no_polynomial(monkeypatch):
 
 
 def test_gap_forms_are_read_off_the_slope_polynomial():
-    assert stability.gap_forms() == ((1, -18), (0, -3), (-2, 0))
+    # 2 slope(c) - slope(det E); only (2, -4) has a witness, the octic (0, 8)
+    assert stability.gap_forms() == ((2, -36, True), (0, -6, False), (-4, 0, False))
     assert stability.stable_ratio() == 18
 
 
@@ -137,8 +141,8 @@ _quadrant = st.tuples(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
 @given(st.one_of(_boundary, _boundary, _quadrant))  # two draws in three on n = 18m
 def test_stability_decide_matches_corner_slopes(point):
     pol = stability.Polarization(*point)
-    threshold = stability.slope_dot((1, 2), pol).constant()
-    best = max(stability.slope_dot(c, pol).constant() for c in stability.destabilizer_corners())
+    threshold = stability.slope_dot(stability._det(), pol).constant()
+    best = 2 * max(stability.slope_dot(c, pol).constant() for c in stability.destabilizer_corners())
     want = ("stable" if best < threshold else
             "semistable_not_stable" if best == threshold else "unstable")
     assert stability.stability_decide(pol) == want
@@ -146,7 +150,7 @@ def test_stability_decide_matches_corner_slopes(point):
 
 @pytest.mark.parametrize("slope", [
     lambda a, b, m, n: a * n ** 3 + b * m * m * n * n,  # n^2 times a quadratic form
-    lambda a, b, m, n: Fraction(1, 2) * a * n ** 3 + 3 * b * m * n ** 2,  # u = 1/2
+    lambda a, b, m, n: Fraction(1, 3) * a * n ** 3 + 3 * b * m * n ** 2,  # u = 2/3
 ])
 def test_gap_forms_reject_a_gap_that_is_not_an_integer_linear_form(monkeypatch, slope):
     a, b, m, n = (ParamPoly.var(x) for x in "abmn")
@@ -160,21 +164,55 @@ def test_gap_forms_reject_a_gap_that_is_not_an_integer_linear_form(monkeypatch, 
 
 
 def test_stable_ratio_is_the_lowest_ray(monkeypatch):
-    monkeypatch.setattr(stability, "gap_forms", lambda: ((2, -3), (1, -18), (0, -1), (-1, 0)))
+    forms = ((2, -3, True), (1, -18, False), (0, -1, False), (-1, 0, False))
+    monkeypatch.setattr(stability, "gap_forms", lambda: forms)
     assert stability.stable_ratio() == Fraction(3, 2)
-    monkeypatch.setattr(stability, "gap_forms", lambda: ((0, -3), (-2, 0)))
+    # a witnessed form on the lowest ray is enough, whatever else lies on it
+    monkeypatch.setattr(stability, "gap_forms", lambda: ((4, -6, False),) + forms)
+    assert stability.stable_ratio() == Fraction(3, 2)
+    monkeypatch.setattr(stability, "gap_forms", lambda: ((0, -3, False), (-2, 0, False)))
     assert stability.stable_ratio() is None
+
+
+def test_stable_ratio_needs_a_witness_on_the_lowest_ray(monkeypatch):
+    monkeypatch.setattr(stability, "gap_forms", lambda: ((2, -3, False), (1, -18, True)))
+    with pytest.raises(InconsistentError, match="no witnessed destabilizer lies on the ray"):
+        stability.stable_ratio()
+
+
+def test_only_a_witnessed_form_can_destabilize(monkeypatch):
+    monkeypatch.setattr(stability, "gap_forms", lambda: ((2, -36, False), (0, -6, True)))
+    assert stability.stability_decide(stability.Polarization(1, 17)) == "stable"
+    for n in (18, 19):
+        with pytest.raises(InconsistentError, match="no witnessed destabilizer attains"):
+            stability.stability_decide(stability.Polarization(1, n))
+
+
+def test_remark33_fails_without_the_octic_witness(monkeypatch, capsys):
+    real = stability.subsheaf_status
+    monkeypatch.setattr(stability, "subsheaf_status",
+                        lambda p, q: "unknown" if (p, q) == (0, 8) else real(p, q))
+    stability.gap_forms.cache_clear()
+    try:
+        assert cli.main(["verify", "--claim", "remark3.3", "--json"]) == 1
+    finally:
+        stability.gap_forms.cache_clear()
+    (record,) = json.loads(capsys.readouterr().out)["claims"]
+    assert record["status"] == "FAIL"
+    assert record["computed"] == (
+        "InconsistentError: no witnessed destabilizer lies on the ray n = 18 m")
 
 
 @pytest.mark.parametrize("forms", [((1, 2),), ((-1, 1),), ((1, 0),), ((0, 0),), ((1, -18), (0, 1))])
 def test_stable_ratio_rejects_forms_that_break_the_cone(monkeypatch, forms):
-    monkeypatch.setattr(stability, "gap_forms", lambda: forms)
+    monkeypatch.setattr(stability, "gap_forms", lambda: tuple((u, v, True) for u, v in forms))
     with pytest.raises(InconsistentError):
         stability.stable_ratio()
 
 
 def test_remark33_reports_a_ratio_other_than_18(monkeypatch):
-    monkeypatch.setattr(stability, "gap_forms", lambda: ((1, -17), (0, -3), (-2, 0)))
+    forms = ((1, -17, True), (0, -3, False), (-2, 0, False))
+    monkeypatch.setattr(stability, "gap_forms", lambda: forms)
     result = claims.get_claim("remark3.3").check()
     assert not result.ok
     assert result.computed.startswith("violations=[('n < r*m', Fraction(17, 1)), ")
