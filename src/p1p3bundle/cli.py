@@ -132,14 +132,27 @@ _HEADER = re.compile(r"degree\s+(-?\d+)", re.ASCII)
 MAX_DEGREE = 100
 
 
-def _number(convert, digits):
-    """convert(digits) for a token of ASCII digits.  CPython refuses to
-    convert more than sys.get_int_max_str_digits() digits (4300 by default)
-    with a ValueError, the only one such a token can raise."""
+@functools.lru_cache(maxsize=None)
+def _fraction_type():
+    """fractions.Fraction, imported on first use: `import p1p3bundle.cli`
+    stays free of it, and most pencil entries have no '/'."""
+    from fractions import Fraction
+
+    return Fraction
+
+
+def _number(token):
+    """The int of a token of ASCII digits, or the Fraction p/q of a token
+    'p/q' (ZeroDivisionError when q is 0).  CPython refuses to convert more
+    than sys.get_int_max_str_digits() digits (4300 by default) with a
+    ValueError, the only one such a token can raise."""
     try:
-        return convert(digits)
+        if "/" not in token:
+            return int(token)
+        p, q = token.split("/")
+        return _fraction_type()(int(p), int(q))
     except ValueError:
-        raise PencilParseError("number of %d characters is too long" % len(digits)) from None
+        raise PencilParseError("number of %d characters is too long" % len(token)) from None
 
 
 def parse_form(text, degree):
@@ -186,16 +199,12 @@ def parse_form(text, degree):
             read.append([sign, 0, 0])
         term = read[-1]
         if kind != "num":
-            term[1 if token == "l" else 2] += 1 if kind == "var" else _number(int, match.group("exp"))
-        elif "/" in token:
-            from fractions import Fraction  # not at module load: most entries have no '/'
-
+            term[1 if token == "l" else 2] += 1 if kind == "var" else _number(match.group("exp"))
+        else:
             try:
-                term[0] *= _number(Fraction, token)
+                term[0] *= _number(token)
             except ZeroDivisionError:
                 raise PencilParseError("zero denominator in %r" % text) from None
-        else:
-            term[0] *= _number(int, token)
         state = "factor"
     if state == "star":
         raise PencilParseError("dangling '*' in %r" % text)
@@ -230,7 +239,7 @@ def load_pencil(path):
     header = _HEADER.fullmatch(lines[0])
     if not header:
         raise PencilParseError("malformed degree header %r" % lines[0])
-    degree = _number(int, header.group(1))
+    degree = _number(header.group(1))
     if degree < 0:
         raise PencilParseError("degree must be nonnegative")
     if degree > MAX_DEGREE:

@@ -3,13 +3,23 @@
 A pencil is a 4x4 symmetric matrix of binary forms in (l, m) of one
 degree d, each entry a tuple of d + 1 rational coefficients (index i
 holds the coefficient of l^i*m^(d-i)).  Everything is computed from one
-integer matrix per pencil (the chart m = 1, rows cleared of denominators)
-and its 36 integer 2x2 minors: the generic rank over the function field
-of the parameter line (fraction-free Bareiss elimination over Z[l]), the
-pointwise rank (the same elimination on the matrix evaluated at the
-point), the rank-1 parameter locus (distinct projective roots of the gcd
-of the minors, including the root at infinity, by a primitive gcd and
-radical over Z), and the family of singular lines of a rank-2 pencil
+packed integer matrix per pencil.  M is the chart m = 1 cleared of
+denominators, an integer polynomial matrix in l whose coefficients are at
+most H in absolute value, and P = M(2^b) with b the bit length of
+B + 1, B = 24*(d+1)^3*H^4.  A k x k minor of M is a sum of k! products of
+k entries, so its coefficients are at most k!*(d+1)^(k-1)*H^k <= B; by
+Cauchy's bound its roots, if it is nonzero, are below 1 + B < 2^b, and:
+
+- the generic rank over the function field of the parameter line is the
+  rank of P over Q (fraction-free Bareiss elimination on ints), and the
+  pointwise rank is the same elimination on the matrix at the point;
+- each 2x2 minor is P_ik*P_jn - P_in*P_jk read back as signed base-2^b
+  digits, exact because its coefficients are at most 2(d+1)H^2 < 2^(b-1)
+  in absolute value; M is symmetric, so 21 of the 36 minors are distinct.
+
+From the minors come the rank-1 parameter locus (distinct projective
+roots of their gcd, the root at infinity included, by a primitive gcd
+and radical over Z) and the family of singular lines of a rank-2 pencil
 (Plücker coordinates, the Hodge dual of a row pair's minors).
 """
 
@@ -25,7 +35,7 @@ from .errors import (
     RankMismatchError,
     RankTooHighError,
 )
-from .poly import _c_gcd, _c_radical, _fraction, _strip, _z_mul, _z_sub, bareiss_rank
+from .poly import _c_gcd, _c_radical, _fraction, _int_rank, _pack, _packing_shift
 
 # Index pairs a < b of the 2x2 minors and of Plücker coordinates.  The
 # complement of PAIRS[k] is PAIRS[5 - k]; _HODGE_SIGNS[k] is the sign of the
@@ -43,6 +53,22 @@ class WholeLine:
 
 
 WHOLE_LINE = WholeLine()
+
+
+def _signed_digits(v, shift):
+    """The integer coefficient list (lowest first, stripped) whose value at
+    2**shift is v, when every coefficient is below 2**(shift - 1) in
+    absolute value: each digit is the residue of v mod 2**shift nearest 0."""
+    out = []
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    while v:
+        r = v & mask
+        v >>= shift
+        if r >= half:
+            r -= mask + 1
+            v += 1
+        out.append(r)
+    return out
 
 
 def _form_mul(f, g):
@@ -108,36 +134,49 @@ class QuadricPencil:
 
     @cached_property
     def _z_matrix(self):
-        # The chart m = 1: coefficient i of an entry is that of l^i.  Each row
-        # is scaled by the lcm of its denominators (an int has denominator 1);
-        # a nonzero rational row scale keeps the rank, the kernel, and the
-        # roots and the infinity multiplicity of every 2x2 minor.  (The lcm
-        # takes a list: unpacking a generator there made the peak RSS grow
-        # with every pencil on CPython 3.11.)
-        matrix = []
-        for row in self.entries:
-            scale = lcm(*[c.denominator for f in row for c in f])
-            matrix.append(tuple(tuple(_strip([c.numerator * (scale // c.denominator) for c in f]))
-                                for f in row))
-        return tuple(matrix)
+        # The chart m = 1: coefficient i of an entry is that of l^i.  All
+        # entries are scaled by the lcm of their denominators (an int has
+        # denominator 1), which keeps the matrix symmetric; a nonzero rational
+        # scale keeps the rank, the kernel, and the roots and the infinity
+        # multiplicity of every minor.  (The lcm takes a list: unpacking a
+        # generator there made the peak RSS grow with every pencil on
+        # CPython 3.11.)
+        scale = lcm(*[c.denominator for row in self.entries for f in row for c in f])
+        return tuple(tuple(tuple(c.numerator * (scale // c.denominator) for c in f) for f in row)
+                     for row in self.entries)
+
+    @cached_property
+    def _packed(self):
+        # (P, b): P = M(2^b), each entry packed once (M is symmetric)
+        m = self._z_matrix
+        height = max(abs(c) for row in m for f in row for c in f)
+        shift = _packing_shift(height, self.degree + 1, 4)
+        packed = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                packed[i][j] = packed[j][i] = _pack(m[i][j], shift)
+        return packed, shift
 
     @cached_property
     def _rank(self):
-        return bareiss_rank(self._z_matrix)
+        return _int_rank(self._packed[0])
 
     @cached_property
     def _minors(self):
-        # minors[I][J]: the 2x2 minor on rows PAIRS[I] and columns PAIRS[J]
-        e = self._z_matrix
-        return tuple(
-            tuple(tuple(_z_sub(_z_mul(e[i][k], e[j][n]), _z_mul(e[i][n], e[j][k])))
-                  for (k, n) in PAIRS)
-            for (i, j) in PAIRS
-        )
+        # minors[I][J]: the 2x2 minor on rows PAIRS[I] and columns PAIRS[J],
+        # an integer coefficient list in l; minors[J][I] is the same list
+        p, shift = self._packed
+        minors = [[None] * 6 for _ in range(6)]
+        for I, (i, j) in enumerate(PAIRS):
+            for J in range(I, 6):
+                k, n = PAIRS[J]
+                minors[I][J] = minors[J][I] = _signed_digits(
+                    p[i][k] * p[j][n] - p[i][n] * p[j][k], shift)
+        return minors
 
     def generic_rank(self):
-        """Rank over the function field of the line, by fraction-free
-        elimination over Z[l] (computed once per pencil)."""
+        """Rank over the function field of the line: the rank of the packed
+        matrix P over Q (computed once per pencil)."""
         return self._rank
 
     def rank_at(self, l0, m0):
@@ -146,8 +185,8 @@ class QuadricPencil:
 
         The point is scaled by the lcm of its denominators to integers
         (a, b), the same projective point; each integer entry sum c_i l^i is
-        read as the form sum c_i a^i b^(d-i), and the constant matrix goes
-        to `bareiss_rank`.
+        read as the form sum c_i a^i b^(d-i), and the integer matrix goes to
+        the elimination of `generic_rank`.
         """
         l0, m0 = _fraction(l0), _fraction(m0)
         if l0 == 0 and m0 == 0:
@@ -155,9 +194,8 @@ class QuadricPencil:
         scale = lcm(l0.denominator, m0.denominator)
         a, b = int(l0 * scale), int(m0 * scale)
         d = self.degree
-        rows = [[_strip([sum(c * a ** i * b ** (d - i) for i, c in enumerate(f))]) for f in row]
-                for row in self._z_matrix]
-        return bareiss_rank(rows)
+        return _int_rank([[sum(c * a ** i * b ** (d - i) for i, c in enumerate(f)) for f in row]
+                          for row in self._z_matrix])
 
     def rank1_parameter_count(self):
         """Number of parameter points where the rank drops to <= 1.
@@ -170,7 +208,7 @@ class QuadricPencil:
             raise RankTooHighError("rank1_parameter_count needs generic rank <= 2")
         g = None
         inf_mult = None
-        for f in [f for row in self._minors for f in row if f]:
+        for f in [f for I, row in enumerate(self._minors) for f in row[I:] if f]:
             # the homogeneous minor has degree 2d; l-degree len(f) - 1
             mult = 2 * self.degree - (len(f) - 1)
             inf_mult = mult if inf_mult is None else min(inf_mult, mult)

@@ -2,8 +2,10 @@
 
 Sparse multivariate polynomials in named formal parameters over the
 rationals; on integer coefficient lists, a univariate gcd (primitive
-pseudo-remainder sequence) and radical, and rank by fraction-free
-(Bareiss) elimination over Z[x]; and reduced row echelon form over Q.
+pseudo-remainder sequence) and radical, and rank over Q(x) as the rank
+of one integer matrix at a point 2**b past every root of its minors
+(Kronecker substitution, Bareiss elimination on ints); and reduced row
+echelon form over Q.
 A rational number is an `int` when it is integral and a `Fraction` only
 where it has a denominator; no float ever enters.  Everything here is
 immutable and pure.
@@ -12,7 +14,7 @@ immutable and pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from .errors import InvalidParameterError, SolverError
 
@@ -107,14 +109,6 @@ class ParamPoly:
         if not self.terms:
             return 0
         return max(_mono_degree(m) for m in self.terms)
-
-    def degree_in(self, var):
-        d = 0
-        for m in self.terms:
-            for v, e in m:
-                if v == var:
-                    d = max(d, e)
-        return d
 
     def coefficient(self, mono):
         return Fraction(self.terms.get(tuple(sorted(mono)), 0))
@@ -317,22 +311,6 @@ def _strip(coeffs):
     return coeffs
 
 
-def _z_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _strip(out)
-
-
-def _z_sub(a, b):
-    n = max(len(a), len(b))
-    return _strip([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-
 def _z_exact_div(a, b):
     """a / b in Z[x]; InvalidParameterError unless b divides a exactly."""
     if not b:
@@ -393,23 +371,33 @@ def _c_radical(a):
     return _primitive(_z_exact_div(a, _c_gcd(a, da)))
 
 
-def bareiss_rank(rows):
-    """Rank over Q(x) of a matrix whose entries are integer coefficient lists.
+def _pack(coeffs, shift):
+    """sum c_i << shift*i, the list at x = 2**shift, built by halves (pairs,
+    then pairs of pairs): each step shifts and adds, and none multiplies."""
+    coeffs = list(coeffs)
+    while len(coeffs) > 1:
+        coeffs = [lo + (hi << shift) for lo, hi in zip(coeffs[::2], coeffs[1::2] + [0])]
+        shift *= 2
+    return coeffs[0] if coeffs else 0
 
-    Fraction-free Bareiss elimination with row pivoting, skipping columns
-    without a pivot: after each step every entry below the pivot rows is a
-    minor of the input, so the division by the previous pivot is exact
-    (checked by `_z_exact_div`).
-    """
+
+def _packing_shift(height, length, order):
+    """b such that 2**b is no root of a nonzero minor of order <= `order` whose
+    entries have <= length coefficients of absolute value <= height.  Such a
+    minor has coefficients <= B = order!*length^(order-1)*height^order, so by
+    Cauchy's bound its roots are below 1 + B < 2**b."""
+    return (factorial(order) * length ** (order - 1) * height ** order + 1).bit_length()
+
+
+def _int_rank(rows):
+    """Rank over Q of an integer matrix by fraction-free Bareiss elimination
+    with row pivoting: each entry below the pivot rows is a minor of the
+    input, so each division by the previous pivot is exact (and checked)."""
     m = [list(r) for r in rows]
-    nrows = len(m)
     ncols = len(m[0]) if m else 0
-    prev = [1]
-    r = 0
+    prev, r = 1, 0
     for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
@@ -417,11 +405,23 @@ def bareiss_rank(rows):
         for row in m[r + 1:]:
             f = row[c]
             for j in range(c + 1, ncols):
-                row[j] = _z_exact_div(_z_sub(_z_mul(pivot, row[j]), _z_mul(f, top[j])), prev)
-            row[c] = []
+                row[j], rem = divmod(pivot * row[j] - f * top[j], prev)
+                if rem:
+                    raise InvalidParameterError("inexact division in Bareiss elimination")
         prev = pivot
         r += 1
     return r
+
+
+def bareiss_rank(rows):
+    """Rank over Q(x) of a matrix of integer coefficient lists: `_int_rank` at
+    x = 2**b, b from `_packing_shift`, where only a zero minor vanishes."""
+    entries = [e for row in rows for e in row]
+    if not entries:
+        return 0
+    height = max([abs(c) for e in entries for c in e], default=0)
+    shift = _packing_shift(height, max(map(len, entries)), min(len(rows), len(rows[0])))
+    return _int_rank([[_pack(e, shift) for e in row] for row in rows])
 
 
 # -- exact linear algebra ------------------------------------------------------

@@ -168,6 +168,22 @@ def test_parse_form_round_trips_str(form):
         assert cli.parse_form(str(p), degree) == want
 
 
+# The token grammar of the pencil file format, copied here so that the
+# oracle below does not move with the parser it checks (ASCII only: \d and
+# \w would also match digits such as '٣').
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z_]\w*)(?:\^(?P<exp>\d+))?|(?P<star>\*))",
+    re.ASCII,
+)
+
+
+def _reference_number(convert, digits):
+    try:
+        return convert(digits)
+    except ValueError:
+        raise PencilParseError("number of %d characters is too long" % len(digits)) from None
+
+
 def _reference_parse_form(text):
     """The per-token parser that `parse_form` replaced, kept as its oracle:
     every constant, variable, factor and term is a ParamPoly of its own."""
@@ -187,7 +203,7 @@ def _reference_parse_form(text):
             term = None
 
     while pos < len(text):
-        match = cli._TOKEN.match(text, pos)
+        match = _REFERENCE_TOKEN.match(text, pos)
         if not match or match.end() == pos:
             raise PencilParseError("cannot parse %r at position %d" % (text, pos))
         pos = match.end()
@@ -202,7 +218,7 @@ def _reference_parse_form(text):
             if term is not None and not expect_factor:
                 raise PencilParseError("missing '*' before %r in %r" % (match.group("num"), text))
             try:
-                value = cli._number(Fraction, match.group("num"))
+                value = _reference_number(Fraction, match.group("num"))
             except ZeroDivisionError:
                 raise PencilParseError("zero denominator in %r" % text) from None
             if term is None:
@@ -218,7 +234,7 @@ def _reference_parse_form(text):
                 raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (name, text))
             if term is not None and not expect_factor:
                 raise PencilParseError("missing '*' before %r in %r" % (name, text))
-            factor = ParamPoly.var(name, cli._number(int, match.group("exp") or "1"))
+            factor = ParamPoly.var(name, _reference_number(int, match.group("exp") or "1"))
             if term is None:
                 term = (Fraction(sign), factor)
                 sign = 1
@@ -444,6 +460,16 @@ def test_computation_modules_do_not_load_dataclasses():
     # their records are tuples; only the claim registry is a dataclass
     code = "from p1p3bundle import cohom, stability, geometry, heisenberg"
     assert _modules_loaded_by(code, "dataclasses") == set()
+
+
+def test_cli_loads_fractions_only_for_a_fraction_token():
+    assert _modules_loaded_by("import p1p3bundle.cli", "fractions") == set()
+    code = "from p1p3bundle import cli\nassert cli.parse_form('3*l + m', 1) == (1, 3)"
+    assert _modules_loaded_by(code, "fractions") == set()
+    # the first '/' imports it, in a fresh process
+    code = ("from p1p3bundle import cli\nform = cli.parse_form('1/2*l - 6/4*m + 2/2*l', 1)\n"
+            "assert repr(form) == '(Fraction(-3, 2), Fraction(3, 2))', form")
+    assert _modules_loaded_by(code, "fractions") == {"fractions"}
 
 
 def test_usage_error_exits_2():

@@ -208,20 +208,22 @@ def test_constant_squared_diagonal():
 
 
 def test_rank_is_computed_once_per_pencil(monkeypatch):
-    calls = []
-    minor_subs = []
+    # one elimination of the packed matrix, and one product and read-back for
+    # each of the 21 distinct 2x2 minors of the symmetric matrix
+    eliminations = []
+    minors = []
 
-    def counting(rows):
-        calls.append(rows)
-        return real(rows)
+    def counting_rank(rows):
+        eliminations.append(rows)
+        return real_rank(rows)
 
-    def counting_sub(a, b):
-        minor_subs.append((a, b))
-        return real_sub(a, b)
+    def counting_digits(v, shift):
+        minors.append(v)
+        return real_digits(v, shift)
 
-    real, real_sub = pencil.bareiss_rank, pencil._z_sub
-    monkeypatch.setattr(pencil, "bareiss_rank", counting)
-    monkeypatch.setattr(pencil, "_z_sub", counting_sub)  # one call per 2x2 minor
+    real_rank, real_digits = pencil._int_rank, pencil._signed_digits
+    monkeypatch.setattr(pencil, "_int_rank", counting_rank)
+    monkeypatch.setattr(pencil, "_signed_digits", counting_digits)
     p = QuadricPencil.degree4_witness()
     assert p.generic_rank() == 2
     assert p.rank1_parameter_count() == 4
@@ -229,8 +231,70 @@ def test_rank_is_computed_once_per_pencil(monkeypatch):
     assert p.rank1_parameter_count() == 4
     p.singular_line_family()
     assert p.generic_rank() == 2
-    assert len(calls) == 1
-    assert len(minor_subs) == 36
+    assert len(eliminations) == 1
+    assert len(minors) == 21
+
+
+@pytest.mark.parametrize("t", [1, 3, 40])
+def test_rank_at_a_minor_root_below_the_bound(t):
+    # the symmetric chain [[l, h, 0, 0], [h, 0, 1, 0], [0, 1, 0, c], [0, 0, c, e]]
+    # (constants times m), h = 2^t = H, has determinant h^2*c^2 - e*l on the
+    # chart m = 1: generic rank 4, and rank 3 at l = 2^s for each s in
+    # [2t, 4t], up to H^4, a few bits below the packing point 2^b
+    h, l, one, zero = 2 ** t, (0, 1), (1, 0), (0, 0)
+    for s in range(2 * t, 4 * t + 1):
+        j = (s - 2 * t + 1) // 2
+        c, e = (2 ** j, 0), (2 ** (2 * j - s + 2 * t), 0)
+        p = QuadricPencil([[l, (h, 0), zero, zero], [(h, 0), zero, one, zero],
+                           [zero, one, zero, c], [zero, zero, c, e]])
+        assert p.generic_rank() == 4
+        assert p.rank_at(2 ** s, 1) == 3
+        assert p.rank_at(2 ** s + 1, 1) == 4
+
+
+def _list_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _direct_minors(p):
+    """The 36 2x2 minors of the integer matrix, by polynomial products."""
+    e = p._z_matrix
+    out = []
+    for i, j in pencil.PAIRS:
+        for k, n in pencil.PAIRS:
+            f = [x - y for x, y in zip(_list_mul(e[i][k], e[j][n]), _list_mul(e[i][n], e[j][k]))]
+            while f and not f[-1]:
+                f.pop()
+            out.append(f)
+    return out
+
+
+def test_minors_read_back_exactly():
+    # random symmetric pencils with coefficients up to 10^6, and the extreme
+    # digit: rows (0, 1) and columns (2, 3) of f, f / -f, f with
+    # f = H*(1 + l + ... + l^d) give the coefficient 2(d+1)H^2
+    rng = random.Random(6)
+    pencils = []
+    for _ in range(60):
+        d = rng.randint(0, 5)
+        bound = rng.choice((1, 10 ** 6, 10 ** 30))
+        upper = {(i, j): tuple(rng.randint(-bound, bound) for _ in range(d + 1))
+                 for i in range(4) for j in range(i, 4)}
+        pencils.append(QuadricPencil([[upper[min(i, j), max(i, j)] for j in range(4)]
+                                      for i in range(4)]))
+    for d, h in [(0, 1), (1, 7), (3, 10 ** 6), (6, 2 ** 64 - 1)]:
+        f, zero = (h,) * (d + 1), (0,) * (d + 1)
+        minus = tuple(-c for c in f)
+        pencils.append(QuadricPencil([[zero, zero, f, f], [zero, zero, minus, f],
+                                      [f, minus, zero, zero], [f, f, zero, zero]]))
+        assert [2 * (d + 1) * h * h] in [m[d:d + 1] for m in _direct_minors(pencils[-1])]
+    for p in pencils:
+        got = [f for row in p._minors for f in row]
+        assert got == _direct_minors(p)
 
 
 # Independent references: the generic rank pointwise, and the rank-1 count
@@ -255,7 +319,7 @@ def _reference_rank1_count(p, sympy):
     minors = [f.subs({"m": 1}) for f in minors if not f.is_zero()]
     if not minors:
         return WHOLE_LINE
-    inf_mult = min(2 * p.degree - f.degree_in("l") for f in minors)
+    inf_mult = min(2 * p.degree - max(dict(mono).get("l", 0) for mono in f.terms) for f in minors)
     x = sympy.Symbol("l")
     polys = [sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * x ** dict(mono).get("l", 0)
                             for mono, c in f.terms.items()), x) for f in minors]

@@ -244,11 +244,11 @@ def _list_trim(a):
 
 
 @st.composite
-def _z_matrices(draw):
+def _z_matrices(draw, coefficients=st.integers(-3, 3)):
     """1-4 x 1-4 matrices over Z[x] built as sums of 0-4 rank-one products
     u.v^T, so deficient ranks, zero rows and zero columns all occur."""
     nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    poly = st.lists(st.integers(-3, 3), max_size=3)
+    poly = st.lists(coefficients, max_size=3)
     matrix = [[[] for _ in range(ncols)] for _ in range(nrows)]
     for _ in range(draw(st.integers(0, 4))):
         u = draw(st.lists(poly, min_size=nrows, max_size=nrows))
@@ -275,13 +275,60 @@ def test_bareiss_rank_matches_ratfunc_rank(matrix):
     assert bareiss_rank(matrix) == _pointwise_rank(matrix)
 
 
+def _sympy_rank(matrix):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return sympy.Matrix([[sum(c * x ** k for k, c in enumerate(e)) for e in row]
+                         for row in matrix]).rank()
+
+
 @settings(max_examples=20, deadline=None)
 @given(_z_matrices())
 def test_bareiss_rank_matches_sympy(matrix):
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    rows = [[sum(c * x ** k for k, c in enumerate(e)) for e in row] for row in matrix]
-    assert bareiss_rank(matrix) == sympy.Matrix(rows).rank()
+    assert bareiss_rank(matrix) == _sympy_rank(matrix)
+
+
+# coefficients up to 10^6 in u and v: the minors' roots reach far past the
+# entries' own coefficients, so a packing point too close to them shows
+_wide_z_matrices = _z_matrices(st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_z_matrices)
+def test_bareiss_rank_matches_ratfunc_rank_on_wide_coefficients(matrix):
+    assert bareiss_rank(matrix) == _pointwise_rank(matrix)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_wide_z_matrices)
+def test_bareiss_rank_matches_sympy_on_wide_coefficients(matrix):
+    assert bareiss_rank(matrix) == _sympy_rank(matrix)
+
+
+def _root_matrices(t):
+    """(matrix over Z[x], rank, root) with entries of height H = 2^t whose
+    determinant vanishes at x = root = 2^s, for every s with H < 2^s <= H^4:
+    det [[x, a], [b, 1]] = x - ab, and the chain [[x, a, 0, 0], [a, 0, 1, 0],
+    [0, 1, 0, c], [0, 0, c, e]] has determinant a^2*c^2 - e*x."""
+    h = 2 ** t
+    for s in range(t + 1, 4 * t + 1):
+        if s <= 2 * t:
+            yield [[[0, 1], [h]], [[2 ** (s - t)], [1]]], 2, 2 ** s
+        else:
+            j = (s - 2 * t + 1) // 2
+            c, e = 2 ** j, 2 ** (2 * j - s + 2 * t)
+            yield [[[0, 1], [h], [], []], [[h], [], [1], []],
+                   [[], [1], [], [c]], [[], [], [c], [e]]], 4, 2 ** s
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 40])
+def test_bareiss_rank_at_a_minor_root_below_the_bound(t):
+    # the roots lie past H + 1, at every power of two up to H^4 below the
+    # packing point 2^b: a smaller point would lose rank on one of them
+    for matrix, rank, root in _root_matrices(t):
+        assert bareiss_rank(matrix) == rank
+        at_root = [[sum(c * root ** k for k, c in enumerate(e)) for e in row] for row in matrix]
+        assert rref(at_root)[0] == rank - 1
 
 
 def test_bareiss_rank_does_not_touch_its_input():
