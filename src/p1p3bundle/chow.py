@@ -197,7 +197,10 @@ class GradedClass:
         return self.ring is other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset((m, c) for m, c in self.coeffs.items())))
+        # a scalar class equals its number, so it hashes as that number
+        if self.coeffs.keys() <= {self.ring.unit}:
+            return hash(self.coeffs.get(self.ring.unit, 0))
+        return hash((id(self.ring), frozenset(self.coeffs.items())))
 
     def __str__(self):
         if not self.coeffs:

@@ -39,8 +39,8 @@ def _check_eq5():
 
     poly = geometry.chi_twisted_bundle()
     golden = geometry.rr_polynomial()
-    spot1 = poly.evaluate({"a": 0, "b": 0})
-    spot2 = poly.evaluate({"a": -2, "b": -4})
+    spot1 = poly.value({"a": 0, "b": 0})
+    spot2 = poly.value({"a": -2, "b": -4})
     computed = "%s; chi(0,0)=%s; chi(-2,-4)=%s" % (poly, spot1, spot2)
     expected = "%s; chi(0,0)=-6; chi(-2,-4)=2" % golden
     return _result(computed, expected)
@@ -79,7 +79,7 @@ def _check_hrr_oracle():
     # evaluation is a ring homomorphism, so one symbolic HRR serves every point
     chi = _line_chi()
     mismatches = sum(
-        chi.evaluate({"a": a, "b": b}) != cohom.cohom_p1xp3(a, b).chi
+        chi.value({"a": a, "b": b}) != cohom.cohom_p1xp3(a, b).chi
         for a in range(-8, 9)
         for b in range(-8, 9)
     )

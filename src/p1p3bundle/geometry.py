@@ -52,7 +52,7 @@ def chi_twisted_bundle():
 def classify_embeddings(e_max):
     """All (e, alpha, beta) with the embedding constraints of the surface Z.
 
-    The constraints, evaluated in the Sigma_e ring: alpha = 1 (the section
+    The constraints, computed in the Sigma_e ring: alpha = 1 (the section
     hits h1 once), degree((C0 + beta f)^2) = 2, and beta <= 2.
     """
     if e_max < 2:

@@ -178,10 +178,9 @@ class FinAbGroup:
         return self.invariants[-1] if self.invariants else 1
 
     def __eq__(self, other):
+        # not equal to a tuple: (4, 2) and (2, 4) give one group but hash apart
         if isinstance(other, FinAbGroup):
             return self.invariants == other.invariants
-        if isinstance(other, tuple):
-            return self.invariants == FinAbGroup(other).invariants
         return NotImplemented
 
     def __hash__(self):

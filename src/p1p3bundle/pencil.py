@@ -18,9 +18,10 @@ Cauchy's bound its roots, if it is nonzero, are below 1 + B < 2^b, and:
   in absolute value; M is symmetric, so 21 of the 36 minors are distinct.
 
 From the minors come the rank-1 parameter locus (distinct projective
-roots of their gcd, the root at infinity included, by a primitive gcd
-and radical over Z) and the family of singular lines of a rank-2 pencil
-(Plücker coordinates, the Hodge dual of a row pair's minors).
+roots of their gcd, the root at infinity included: a primitive gcd over
+Z, and deg g - deg gcd(g, g') distinct finite roots of it) and the
+family of singular lines of a rank-2 pencil (Plücker coordinates, the
+Hodge dual of a row pair's minors).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     RankMismatchError,
     RankTooHighError,
 )
-from .poly import _c_gcd, _c_radical, _fraction, _int_rank, _pack, _packing_shift
+from .poly import _c_gcd, _c_root_count, _fraction, _int_rank, _pack, _packing_shift
 
 # Index pairs a < b of the 2x2 minors and of Plücker coordinates.  The
 # complement of PAIRS[k] is PAIRS[5 - k]; _HODGE_SIGNS[k] is the sign of the
@@ -200,8 +201,9 @@ class QuadricPencil:
     def rank1_parameter_count(self):
         """Number of parameter points where the rank drops to <= 1.
 
-        Computed as the number of distinct projective roots of the gcd of
-        the nonzero 2x2 minors, the root at infinity (m = 0) included.
+        Computed as the number of distinct projective roots of the gcd g of
+        the nonzero 2x2 minors, the root at infinity (m = 0) included; g
+        has deg g - deg gcd(g, g') distinct finite roots.
         Returns WHOLE_LINE when every minor vanishes identically.
         """
         if self.generic_rank() > 2:
@@ -215,7 +217,7 @@ class QuadricPencil:
             g = f if g is None else _c_gcd(g, f)
         if g is None:
             return WHOLE_LINE
-        count = len(_c_radical(g)) - 1
+        count = _c_root_count(g)
         if inf_mult >= 1:
             count += 1
         return count

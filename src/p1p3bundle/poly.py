@@ -2,10 +2,10 @@
 
 Sparse multivariate polynomials in named formal parameters over the
 rationals; on integer coefficient lists, a univariate gcd (primitive
-pseudo-remainder sequence) and radical, and rank over Q(x) as the rank
-of one integer matrix at a point 2**b past every root of its minors
-(Kronecker substitution, Bareiss elimination on ints); and reduced row
-echelon form over Q.
+pseudo-remainder sequence), the count of distinct roots it gives, and
+the packing of a polynomial matrix at a point 2**b past every root of
+its minors (Kronecker substitution) for a rank by Bareiss elimination
+on ints; and reduced row echelon form over Q.
 A rational number is an `int` when it is integral and a `Fraction` only
 where it has a denominator; no float ever enters.  Everything here is
 immutable and pure.
@@ -41,17 +41,15 @@ class ParamPoly:
     coefficients; an integral coefficient is stored as an `int` (a
     `Fraction` with denominator 1 becomes its numerator), any other as a
     `Fraction`, so the arithmetic stays in ints wherever it can.  The
-    accessors `constant`, `coefficient` and `evaluate` return Fractions
-    (`value` returns the number as it sums, an int on integer points).
+    accessors `constant` and `coefficient` return Fractions (`value`
+    returns the number as it sums, an int on integer points).
     The canonical term order (used for serialization) is graded
     lexicographic over alphabetically sorted variable names.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
+    def __init__(self, terms):
         self.terms = kept = {}
         for m, c in terms.items():
             if c.__class__ is not int:
@@ -172,25 +170,25 @@ class ParamPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {_ONE}:  # equal to its number, so hashed as that
+            return hash(self.terms.get(_ONE, 0))
         return hash(frozenset(self.terms.items()))
 
     # -- substitution --------------------------------------------------------
 
     def subs(self, assignment):
-        """Substitute variables by ints, Fractions or ParamPolys (exact)."""
-        result = ParamPoly.const(0)
+        """Substitute ints or Fractions for some variables (exact); any other
+        value, a float or a ParamPoly included, raises InvalidParameterError."""
+        if not all(isinstance(x, (int, Fraction)) for x in assignment.values()):
+            raise InvalidParameterError("values must be ints or Fractions: %r" % (assignment,))
+        terms = {}
         for mono, coeff in self.terms.items():
-            term = ParamPoly.const(coeff)
             for v, e in mono:
                 if v in assignment:
-                    val = assignment[v]
-                    if not isinstance(val, ParamPoly):
-                        val = ParamPoly.const(val)
-                    term = term * val ** e
-                else:
-                    term = term * ParamPoly.var(v, e)
-            result = result + term
-        return result
+                    coeff *= assignment[v] ** e
+            rest = tuple((v, e) for v, e in mono if v not in assignment)
+            terms[rest] = terms.get(rest, 0) + coeff
+        return ParamPoly(terms)
 
     def value(self, assignment):
         """The value at a full point of ints and Fractions: an int or a Fraction.
@@ -208,10 +206,6 @@ class ParamPoly:
         if total.__class__ is int or isinstance(total, Fraction):
             return total
         raise InvalidParameterError("a point must have int or Fraction values: %r" % (assignment,))
-
-    def evaluate(self, assignment):
-        """The value at a full point of ints and Fractions, as a Fraction."""
-        return Fraction(self.value(assignment))
 
     def collect(self, on_vars):
         """Group terms by their monomial in `on_vars`.
@@ -311,27 +305,6 @@ def _strip(coeffs):
     return coeffs
 
 
-def _z_exact_div(a, b):
-    """a / b in Z[x]; InvalidParameterError unless b divides a exactly."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(a) >= len(b):
-        f, r = divmod(a[-1], lead)
-        if r:
-            break
-        d = len(a) - len(b)
-        q[d] = f
-        for i, y in enumerate(b):
-            a[d + i] -= f * y
-        a = _strip(a)
-    if a:
-        raise InvalidParameterError("inexact division in Z[x]: %s / %s" % (a, list(b)))
-    return _strip(q)
-
-
 def _primitive(a):
     """a divided by its content, with a positive leading coefficient."""
     if not a:
@@ -360,15 +333,9 @@ def _c_gcd(a, b):
     return a
 
 
-def _c_radical(a):
-    """Radical (product of the distinct irreducible factors) of a over Q, as
-    a primitive integer list with positive lead.  a / gcd(a, a') is exact in
-    Z[x] because the gcd is primitive (Gauss's lemma)."""
-    a = _strip(a)
-    if len(a) <= 1:
-        return _primitive(a)
-    da = [i * c for i, c in enumerate(a)][1:]
-    return _primitive(_z_exact_div(a, _c_gcd(a, da)))
+def _c_root_count(a):
+    """The number of distinct roots of a nonzero a: deg a - deg gcd(a, a') (Yun 1976)."""
+    return len(a) - len(_c_gcd(a, [i * c for i, c in enumerate(a)][1:]))
 
 
 def _pack(coeffs, shift):
@@ -411,17 +378,6 @@ def _int_rank(rows):
         prev = pivot
         r += 1
     return r
-
-
-def bareiss_rank(rows):
-    """Rank over Q(x) of a matrix of integer coefficient lists: `_int_rank` at
-    x = 2**b, b from `_packing_shift`, where only a zero minor vanishes."""
-    entries = [e for row in rows for e in row]
-    if not entries:
-        return 0
-    height = max([abs(c) for e in entries for c in e], default=0)
-    shift = _packing_shift(height, max(map(len, entries)), min(len(rows), len(rows[0])))
-    return _int_rank([[_pack(e, shift) for e in row] for row in rows])
 
 
 # -- exact linear algebra ------------------------------------------------------

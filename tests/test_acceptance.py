@@ -22,8 +22,8 @@ def test_criterion_01_chi_polynomial():
     poly = geometry.chi_twisted_bundle()
     ok = (
         poly == geometry.rr_polynomial()
-        and poly.evaluate({"a": 0, "b": 0}) == -6
-        and poly.evaluate({"a": -2, "b": -4}) == 2
+        and poly.value({"a": 0, "b": 0}) == -6
+        and poly.value({"a": -2, "b": -4}) == 2
     )
     _report(1, "Riemann-Roch chi(E(a,b)) closed form with spot values", ok)
 

@@ -168,6 +168,15 @@ def test_coefficients_have_one_canonical_form(us, vs):
     assert (formal - formal).is_zero() and formal - t * ring.cls(dict(zip(ring.basis, vs))) == plain
 
 
+@settings(max_examples=60, deadline=None)
+@given(_numbers)
+def test_a_scalar_class_hashes_as_its_number(u):
+    ring, t = chow.p1xp3(), ParamPoly.var("t")
+    for x, value in ((u * ring.one(), u), (t * ring.one(), t), (u + 0 * ring.gen("h1"), u)):
+        assert x == value and hash(x) == hash(value)
+        assert len({x, value}) == 1
+
+
 def test_floats_are_rejected_where_a_coefficient_enters():
     ring = chow.p1xp3()
     h1 = ring.gen("h1")

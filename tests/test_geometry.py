@@ -53,8 +53,8 @@ def test_rr_polynomial_matches_sympy_hrr():
 
 def test_rr_polynomial_spot_values():
     p = geometry.rr_polynomial()
-    assert p.evaluate({"a": 0, "b": 0}) == -6
-    assert p.evaluate({"a": -2, "b": -4}) == 2
+    assert p.value({"a": 0, "b": 0}) == -6
+    assert p.value({"a": -2, "b": -4}) == 2
 
 
 def test_classify_embeddings():

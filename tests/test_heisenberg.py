@@ -121,6 +121,14 @@ def test_closure_stops_once_the_cap_is_passed(monkeypatch, cap):
     assert products[-1] not in products[:-1]
 
 
+def test_equal_groups_hash_equal():
+    # (4, 2) and (2, 4) give one group but hash apart, so no tuple equals it
+    groups = [hb.FinAbGroup((4, 2)), hb.FinAbGroup((2, 4)), hb.FinAbGroup((1, 2, 4))]
+    assert all(g == groups[0] and hash(g) == hash(groups[0]) for g in groups)
+    assert len(set(groups)) == 1
+    assert hb.FinAbGroup((4, 2)) != (4, 2) and hb.FinAbGroup((2, 4)) != (2, 4)
+
+
 def test_finab_normalization():
     assert hb.FinAbGroup((4, 2)).invariants == (2, 4)
     assert hb.FinAbGroup((2, 3)).invariants == (6,)

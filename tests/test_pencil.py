@@ -4,6 +4,8 @@ from functools import lru_cache, reduce
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p1p3bundle import pencil
 from p1p3bundle.errors import (
@@ -12,7 +14,7 @@ from p1p3bundle.errors import (
     RankTooHighError,
 )
 from p1p3bundle.pencil import WHOLE_LINE, QuadricPencil, WholeLine
-from p1p3bundle.poly import ParamPoly, bareiss_rank, rref
+from p1p3bundle.poly import ParamPoly, rref
 
 L = ParamPoly.var("l")
 M = ParamPoly.var("m")
@@ -159,6 +161,18 @@ def test_degree4_witness():
     assert p.rank_at(1, 2) == 2
 
 
+def test_rank1_count_ignores_multiplicity():
+    # s0*u*u^T + s1*w*w^T has rank <= 1 exactly at the roots of s0*s1; with
+    # s0 = l^3*(l - m)^2*m and s1 = (l + m)^2*(l^2 + m^2)*m^2 the gcd of the
+    # minors has roots 0, 1, -1, +-i and infinity, each but +-i repeated
+    s0 = L ** 3 * (L - M) ** 2 * M
+    s1 = (L + M) ** 2 * (L * L + M * M) * M * M
+    u, w = (1, 2, 0, 3), (0, 1, 5, -1)
+    p = _pencil([[s0 * u[i] * u[j] + s1 * w[i] * w[j] for j in range(4)] for i in range(4)], 6)
+    assert p.generic_rank() == 2
+    assert p.rank1_parameter_count() == 6
+
+
 def test_rank_at_never_exceeds_generic_rank():
     rng = random.Random(1)
     p = QuadricPencil.degree4_witness()
@@ -186,7 +200,10 @@ def test_singular_line_annihilates_matrix():
         # the antisymmetric matrix of the line: its rows lie on the line
         rows = [[q[i, j] if i < j else tuple(-c for c in q[j, i]) if i > j else ()
                  for j in range(4)] for i in range(4)]
-        assert bareiss_rank(rows) == 2
+        # rank 2 over Q(l): its 3x3 minors have degree <= 6d and vanish at
+        # 6d + 1 points, and some point has rank 2
+        assert max(rref([[sum(c * x ** k for k, c in enumerate(e)) for e in row] for row in rows])[0]
+                   for x in range(6 * p.degree + 1)) == 2
         a = [[e.subs({"m": 1}) for e in row] for row in _forms(p.entries)]
         for i in range(4):
             for k in range(4):
@@ -301,7 +318,7 @@ def test_minors_read_back_exactly():
 # from ParamPoly minors with sympy's gcd and squarefree part.
 
 def _evaluated(p, x, y=1):
-    return [[e.evaluate({"l": Fraction(x), "m": Fraction(y)}) for e in row]
+    return [[e.value({"l": x, "m": y}) for e in row]
             for row in _forms(p.entries)]
 
 
@@ -348,6 +365,30 @@ def _random_pencil(rng):
             for j in range(4):
                 entries[i][j] = entries[i][j] + s * v[i] * v[j]
     return _pencil(entries, degree)
+
+
+@st.composite
+def _wide_pencils(draw):
+    """sum_k s_k v_k v_k^T over 0-4 terms with coefficients up to 10^6, each
+    v_k of constants or linear forms, so every generic rank 0-4 occurs, and
+    the entries' coefficients reach about 10^18."""
+    coefficient = st.integers(-10 ** 6, 10 ** 6)
+    degree = draw(st.integers(0, 3))
+    upper = {(i, j): [0] * (degree + 1) for i in range(4) for j in range(i, 4)}
+    for _ in range(draw(st.integers(0, 4))):
+        e = draw(st.integers(0, degree // 2))
+        v = draw(st.lists(st.lists(coefficient, min_size=e + 1, max_size=e + 1),
+                          min_size=4, max_size=4))
+        s = draw(st.lists(coefficient, min_size=degree - 2 * e + 1, max_size=degree - 2 * e + 1))
+        for i, j in upper:
+            upper[i, j] = [x + y for x, y in zip(upper[i, j], _list_mul(s, _list_mul(v[i], v[j])))]
+    return QuadricPencil([[tuple(upper[min(i, j), max(i, j)]) for j in range(4)] for i in range(4)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_pencils())
+def test_generic_rank_matches_the_reference_on_wide_coefficients(p):
+    assert p.generic_rank() == _reference_generic_rank(p)
 
 
 def test_rank_and_rank1_count_match_the_ratfunc_reference():

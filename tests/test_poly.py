@@ -2,16 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p1p3bundle.errors import InvalidParameterError, SolverError
 from p1p3bundle.poly import (
     ParamPoly,
     _c_gcd,
-    _c_radical,
-    _z_exact_div,
-    bareiss_rank,
+    _c_root_count,
+    _int_rank,
+    _pack,
+    _packing_shift,
     rref,
     solve_zero_identity,
 )
@@ -31,18 +32,28 @@ def test_constants_and_fractions():
     p = ParamPoly.const(Fraction(1, 2)) + ParamPoly.const(Fraction(1, 3))
     assert p.constant() == Fraction(5, 6)
     q = Fraction(2, 3) * ParamPoly.var("x")
-    assert q.evaluate({"x": 3}) == 2
+    assert q.value({"x": 3}) == 2
 
 
 def test_subs_and_evaluate():
     a, b = ParamPoly.var("a"), ParamPoly.var("b")
     p = a * a * b + 2 * a - 5
-    assert p.evaluate({"a": 3, "b": 4}) == 36 + 6 - 5
+    assert p.value({"a": 3, "b": 4}) == 36 + 6 - 5
     partial = p.subs({"a": 2})
     assert partial == 4 * b - 1
-    # polynomial-valued substitution
-    nested = p.subs({"a": b + 1})
-    assert nested.evaluate({"b": 1}) == p.evaluate({"a": 2, "b": 1})
+    assert p.subs({"a": Fraction(1, 2)}) == Fraction(1, 4) * b - 4
+    assert p.subs({"b": 0}) == 2 * a - 5 and p.subs({"c": 7}) == p
+    assert partial.subs({"b": 1}) == 3 == p.value({"a": 2, "b": 1})
+
+
+def test_subs_takes_numbers_only():
+    a, b = ParamPoly.var("a"), ParamPoly.var("b")
+    p = a * b + 1
+    for value in (b + 1, ParamPoly.const(2), 0.5, 2.0, "2"):
+        with pytest.raises(InvalidParameterError):
+            p.subs({"a": value})
+    with pytest.raises(InvalidParameterError):
+        p.subs({"a": 1, "c": 0.5})  # a variable p does not have
 
 
 def test_string_form_is_canonical():
@@ -134,27 +145,28 @@ def test_ring_axioms(p, q, r):
 @given(_polys(), _polys(), _polys(("b", "c")), st.lists(_coeffs, min_size=3, max_size=3))
 def test_subs_and_evaluate_are_homomorphisms(p, q, s, values):
     point = dict(zip("abc", values))
-    assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
-    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
-    # substituting a polynomial for a, then values for b and c
-    sub = {"a": s}
+    assert (p + q).value(point) == p.value(point) + q.value(point)
+    assert (p * q).value(point) == p.value(point) * q.value(point)
+    # substituting a number for a, then values for b and c
+    sub = {"a": s.value(point)}
     assert (p + q).subs(sub) == p.subs(sub) + q.subs(sub)
     assert (p * q).subs(sub) == p.subs(sub) * q.subs(sub)
-    assert p.subs(sub).evaluate(point) == p.evaluate(dict(point, a=s.evaluate(point)))
-    assert p.subs(point) == ParamPoly.const(p.evaluate(point))
+    assert p.subs(sub).value(point) == p.value(dict(point, **sub))
+    assert p.subs(point) == ParamPoly.const(p.value(point))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_polys(), st.lists(st.one_of(st.integers(-5, 5), _coeffs), min_size=3, max_size=3))
 def test_evaluate_returns_the_fraction_of_subs(p, values):
-    # a Fraction even when every coefficient and value is an int: an int
-    # would turn the halving in claims._check_lemma42 into float division
+    # constant() is a Fraction even when every coefficient and value is an
+    # int: an int would turn the halving in claims._check_lemma42 into float
+    # division
     point = dict(zip("abc", values))
-    value = p.evaluate(point)
+    value = p.subs(point).constant()
     assert type(value) is Fraction
-    assert value == p.subs(point).constant()
+    assert value == p.value(point)
     integral = ParamPoly({m: c.numerator for m, c in p.terms.items()})
-    assert type(integral.evaluate(point)) is Fraction
+    assert type(integral.subs(point).constant()) is Fraction
 
 
 _MONOS = ((), (("a", 1),), (("a", 1), ("b", 2)), (("c", 3),))
@@ -176,18 +188,26 @@ def test_coefficients_have_one_canonical_form(ns, p):
     for m, n in zip(_MONOS, ns):
         assert type(plain.coefficient(m)) is Fraction and plain.coefficient(m) == n
         assert type(ParamPoly.const(n).constant()) is Fraction
-    assert type(plain.evaluate(point)) is Fraction and type(plain.value(point)) is int
-    assert plain.value(point) == plain.evaluate(point)
+    assert type(plain.value(point)) is int
     assert type((plain + Fraction(1, 2)).value(point)) is Fraction
-    monomials = [ParamPoly({m: 1}).evaluate(point) for m in _MONOS]
-    assert plain.evaluate(point) == sum(n * v for n, v in zip(ns, monomials))
+    monomials = [ParamPoly({m: 1}).value(point) for m in _MONOS]
+    assert plain.value(point) == sum(n * v for n, v in zip(ns, monomials))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(-10, 10), _coeffs), _polys())
+def test_equal_polynomials_hash_equal(n, p):
+    # a constant polynomial equals its number, so sets and dicts take it as one
+    assert ParamPoly.const(n) == n and hash(ParamPoly.const(n)) == hash(n)
+    assert len({ParamPoly.const(n), n}) == 1
+    assert hash(p + n - p) == hash(n)
 
 
 def test_floats_are_rejected():
     a = ParamPoly.var("a")
     for entry in (lambda: ParamPoly.const(0.5), lambda: ParamPoly.const(0.0),
                   lambda: ParamPoly({(): 0.5}), lambda: ParamPoly({(): "1/2"}),
-                  lambda: a.evaluate({"a": 0.5}), lambda: a.value({"a": 0.5}),
+                  lambda: a.subs({"a": 0.5}), lambda: a.value({"a": 0.5}),
                   lambda: rref([[1, 0.5]])):
         with pytest.raises(InvalidParameterError):
             entry()
@@ -243,8 +263,19 @@ def _list_trim(a):
     return a
 
 
+def _packed_rank(matrix):
+    """Rank over Q(x) of a matrix over Z[x] as the Bareiss rank of the
+    integer matrix packed at x = 2^b, the way a pencil computes its rank."""
+    entries = [e for row in matrix for e in row]
+    height = max([abs(c) for e in entries for c in e] + [1])
+    length = max([len(e) for e in entries] + [1])
+    order = min(len(matrix), len(matrix[0]) if matrix else 0)
+    shift = _packing_shift(height, length, order)
+    return _int_rank([[_pack(e, shift) for e in row] for row in matrix])
+
+
 @st.composite
-def _z_matrices(draw, coefficients=st.integers(-3, 3)):
+def _z_matrices(draw, coefficients):
     """1-4 x 1-4 matrices over Z[x] built as sums of 0-4 rank-one products
     u.v^T, so deficient ranks, zero rows and zero columns all occur."""
     nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
@@ -264,15 +295,9 @@ def _pointwise_rank(matrix):
     the matrix evaluated at 4*deg + 1 integer points: a nonzero r x r minor
     (r <= 4) has degree <= 4*deg, so it is nonzero at one of them."""
     deg = max([len(e) - 1 for row in matrix for e in row] + [0])
-    return max(rref([[Fraction(sum(c * x ** k for k, c in enumerate(e))) for e in row]
+    return max(rref([[sum(c * x ** k for k, c in enumerate(e)) for e in row]
                      for row in matrix])[0]
                for x in range(4 * deg + 1))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_z_matrices())
-def test_bareiss_rank_matches_ratfunc_rank(matrix):
-    assert bareiss_rank(matrix) == _pointwise_rank(matrix)
 
 
 def _sympy_rank(matrix):
@@ -280,12 +305,6 @@ def _sympy_rank(matrix):
     x = sympy.Symbol("x")
     return sympy.Matrix([[sum(c * x ** k for k, c in enumerate(e)) for e in row]
                          for row in matrix]).rank()
-
-
-@settings(max_examples=20, deadline=None)
-@given(_z_matrices())
-def test_bareiss_rank_matches_sympy(matrix):
-    assert bareiss_rank(matrix) == _sympy_rank(matrix)
 
 
 # coefficients up to 10^6 in u and v: the minors' roots reach far past the
@@ -296,13 +315,13 @@ _wide_z_matrices = _z_matrices(st.integers(-10 ** 6, 10 ** 6))
 @settings(max_examples=150, deadline=None)
 @given(_wide_z_matrices)
 def test_bareiss_rank_matches_ratfunc_rank_on_wide_coefficients(matrix):
-    assert bareiss_rank(matrix) == _pointwise_rank(matrix)
+    assert _packed_rank(matrix) == _pointwise_rank(matrix)
 
 
 @settings(max_examples=20, deadline=None)
 @given(_wide_z_matrices)
 def test_bareiss_rank_matches_sympy_on_wide_coefficients(matrix):
-    assert bareiss_rank(matrix) == _sympy_rank(matrix)
+    assert _packed_rank(matrix) == _sympy_rank(matrix)
 
 
 def _root_matrices(t):
@@ -324,36 +343,26 @@ def _root_matrices(t):
 @pytest.mark.parametrize("t", [1, 2, 5, 40])
 def test_bareiss_rank_at_a_minor_root_below_the_bound(t):
     # the roots lie past H + 1, at every power of two up to H^4 below the
-    # packing point 2^b: a smaller point would lose rank on one of them
+    # packing point 2^b: packed at a smaller point, the Bareiss rank would
+    # drop on one of them
     for matrix, rank, root in _root_matrices(t):
-        assert bareiss_rank(matrix) == rank
+        shift = _packing_shift(2 ** t, 2, len(matrix))
+        assert _int_rank([[_pack(e, shift) for e in row] for row in matrix]) == rank
         at_root = [[sum(c * root ** k for k, c in enumerate(e)) for e in row] for row in matrix]
         assert rref(at_root)[0] == rank - 1
 
 
 def test_bareiss_rank_does_not_touch_its_input():
-    matrix = [[[0, 1], [1]], [[0, 0, 1], [0, 1]]]
-    copy = [[list(e) for e in row] for row in matrix]
-    assert bareiss_rank(matrix) == 1
+    # a pencil eliminates its cached packed matrix and then reads its minors
+    matrix = [[0, 2, 4], [0, 1, 2], [3, 0, 1]]
+    copy = [list(row) for row in matrix]
+    assert _int_rank(matrix) == 2
     assert matrix == copy
-    assert bareiss_rank([]) == 0
-    assert bareiss_rank([[[], []]]) == 0
+    assert _int_rank([]) == 0
+    assert _int_rank([[0, 0]]) == 0
 
 
-def test_exact_division_raises_on_a_remainder():
-    assert _z_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
-    assert _z_exact_div([], [3]) == []
-    with pytest.raises(InvalidParameterError, match="inexact division"):
-        _z_exact_div([1, 0, 1], [1, 1])  # (x^2 + 1) / (x + 1)
-    with pytest.raises(InvalidParameterError, match="inexact division"):
-        _z_exact_div([3], [2])  # never truncated to 1
-    with pytest.raises(InvalidParameterError, match="inexact division"):
-        _z_exact_div([1], [0, 1])
-    with pytest.raises(ZeroDivisionError):
-        _z_exact_div([1], [])
-
-
-# -- univariate gcd and radical over Z, against sympy ----------------------------
+# -- univariate gcd and root count over Z, against sympy -------------------------
 
 _int_lists = st.lists(st.integers(-4, 4), max_size=5)
 
@@ -390,6 +399,8 @@ def test_c_gcd_is_primitive_and_matches_sympy(common, a, b):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
                           st.integers(1, 3)), min_size=1, max_size=3))
+@example([([5], 1)])  # a nonzero constant has no root
+@example([([-1, 1], 3), ([0, 1], 2), ([2, 0, 1], 1)])  # (x - 1)^3 x^2 (x^2 + 2)
 def test_squarefree_strips_multiplicity(factors):
     sympy = pytest.importorskip("sympy")
     a = [1]
@@ -399,6 +410,4 @@ def test_squarefree_strips_multiplicity(factors):
     a = _list_trim(a)
     if not a:
         return
-    rad = _c_radical(a)
-    assert _is_primitive(rad)
-    assert rad == _primitive_list(sympy.sqf_part(_sympy_poly(sympy, a)))
+    assert _c_root_count(a) == sympy.sqf_part(_sympy_poly(sympy, a)).degree()

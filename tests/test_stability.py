@@ -117,9 +117,9 @@ def test_stability_decisions():
 def test_stability_decide_evaluates_no_polynomial(monkeypatch):
     stability.stability_decide(stability.Polarization(1, 1))  # derives the gap forms
     calls = []
-    evaluate, const = ParamPoly.evaluate, ParamPoly.const
-    monkeypatch.setattr(ParamPoly, "evaluate",
-                        lambda self, point: calls.append(point) or evaluate(self, point))
+    value, const = ParamPoly.value, ParamPoly.const
+    monkeypatch.setattr(ParamPoly, "value",
+                        lambda self, point: calls.append(point) or value(self, point))
     monkeypatch.setattr(ParamPoly, "const", staticmethod(lambda value: calls.append(value) or const(value)))
     assert stability.stability_decide(stability.Polarization(3, 54)) == "semistable_not_stable"
     assert stability.stability_decide(stability.Polarization(3, 53)) == "stable"
