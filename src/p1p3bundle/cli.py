@@ -10,9 +10,12 @@ each calculator imports the computation modules it uses, and each claim
 check imports its own (see `claims`), so a single `verify --claim` or
 `calc` process compiles and loads only what that command needs.
 
-`parse_form` reads each pencil entry term by term into an int (or, where
-a number has a '/', Fraction) coefficient and the exponents of l and m,
-and returns the summed terms as the coefficient tuple `pencil` stores.
+`parse_form` reads each pencil entry in whole terms, one match of the
+term pattern and one findall of its factors per term, into an int (or,
+where a number has a '/', one Fraction) coefficient and the exponents of
+l and m, and returns the summed terms as the coefficient tuple `pencil`
+stores.  Only a rejected entry is scanned token by token, to name its
+first bad token.  The patterns are compiled on the first pencil file.
 """
 
 from __future__ import annotations
@@ -116,20 +119,28 @@ def _calc_pencil_rank(path, out):
 
 # -- pencil file parsing --------------------------------------------------------
 
-# upper-triangular entry order in the input file
-ENTRY_ORDER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
-
-# ASCII only: \d and \w would also match digits such as '٣'
-_TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z_]\w*)(?:\^(?P<exp>\d+))?|(?P<star>\*))",
-    re.ASCII,
-)
-_HEADER = re.compile(r"degree\s+(-?\d+)", re.ASCII)
-
 # The largest degree a pencil file may declare.  Entries are homogeneous of
 # this degree, so no coefficient list of the rank analysis (4x4 minors have
 # degree 4d) is longer than 4 * MAX_DEGREE + 1.
 MAX_DEGREE = 100
+
+
+@functools.lru_cache(maxsize=None)
+def _pencil_patterns():
+    """(token, term, factor, header): the patterns of the pencil file format,
+    compiled on first use, so that `import p1p3bundle.cli` (and so a cold
+    `verify`) compiles none of them.  ASCII only: \\d and \\w would also
+    match digits such as '٣'.  A term is an optional sign and factors joined
+    by '*'; findall of `factor` over a term gives (p, q, variable, exponent)
+    for each factor p, p/q, l, l^e, m or m^e."""
+    factor = r"\d+(?:/\d+)?|[lm](?:\^\d+)?"
+    return (
+        re.compile(r"\s*(?:(?P<sign>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z_]\w*)"
+                   r"(?:\^(?P<exp>\d+))?|(?P<star>\*))", re.ASCII),
+        re.compile(r"\s*(?:([+-])\s*)?(?:%s)(?:\s*\*\s*(?:%s))*" % (factor, factor), re.ASCII),
+        re.compile(r"(\d+)(?:/(\d+))?|([lm])(?:\^(\d+))?", re.ASCII),
+        re.compile(r"degree\s+(-?\d+)", re.ASCII),
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,66 +171,90 @@ def parse_form(text, degree):
     '3*l^2*m - 1/2*m^3', into its degree + 1 coefficients (index i holds
     that of l^i*m^(degree-i)).
 
-    Each term is read as a coefficient (an int, or a Fraction once one of
-    its numbers has a '/') and the exponents of l and m; the terms are
-    summed by exponents, and a nonzero sum whose exponents do not add up
-    to `degree` is rejected.  An entry is rejected as soon as it starts a
-    term past MAX_DEGREE + 1, the monomial count of a binary form of degree
-    MAX_DEGREE, so an overlong entry costs no more than that many terms.
+    Each term is one match of the term pattern and one findall of its
+    factors: the coefficient is an int, or one Fraction once one of its
+    numbers has a '/', and the exponents of l and m are summed.  The terms
+    are summed by exponents, and a nonzero sum whose exponents do not add
+    up to `degree` is rejected.  An entry is rejected as soon as it starts
+    a term past MAX_DEGREE + 1, the monomial count of a binary form of
+    degree MAX_DEGREE, so an overlong entry costs no more than that many
+    terms.  An entry that the terms do not read whole goes to `_reject`,
+    which names its first bad token.
     """
-    pos = 0
-    read = []  # [coefficient, exponent of l, exponent of m] of each term so far
-    sign = 1  # of the next term
+    _, term, factor, _ = _pencil_patterns()
+    form = [None] * (degree + 1)  # None until a term of that monomial is read
+    other = {}  # (exponent of l, exponent of m) -> coefficient, off `degree`
+    pos, end, count = 0, len(text), 0
+    while pos < end:
+        match = term.match(text, pos) if count <= MAX_DEGREE else None
+        if not match or (count and not match.group(1)):  # a later term needs its sign
+            _reject(text)
+        count += 1
+        c, den, el, em = -1 if match.group(1) == "-" else 1, None, 0, 0
+        try:
+            for p, q, var, e in factor.findall(text, pos, match.end()):
+                if p:
+                    c *= int(p)
+                    if q:
+                        den = int(q) if den is None else den * int(q)
+                elif var == "l":
+                    el += int(e) if e else 1
+                else:
+                    em += int(e) if e else 1
+            if den is not None:
+                c = _fraction_type()(c, den)
+        except (ValueError, ZeroDivisionError):  # a number too long, or a zero denominator
+            _reject(text)
+        pos = match.end()
+        if el + em == degree:
+            form[el] = c if form[el] is None else form[el] + c
+        else:
+            other[el, em] = other.get((el, em), 0) + c
+    if any(other.values()):
+        raise PencilParseError("%r is not a form of degree %d" % (text, degree))
+    return tuple([c or 0 for c in form])  # a sum that cancels is the int 0
+
+
+def _reject(text):
+    """Raise the PencilParseError of the first bad token of a rejected entry:
+    scan it token by token, keeping only the kind of the last token and the
+    term count, up to the term past MAX_DEGREE + 1."""
+    token = _pencil_patterns()[0]
+    pos, count = 0, 0
     state = "start"  # or "sign", "factor", "star": the kind of the last token
     while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match or match.end() == pos:
+        match = token.match(text, pos)
+        if not match:
             raise PencilParseError("cannot parse %r at position %d" % (text, pos))
         pos = match.end()
         kind = match.lastgroup  # 'exp' for a variable with an exponent
         if kind == "star":
             if state != "factor":
                 raise PencilParseError("misplaced '*' in %r" % text)
-            state = "star"
-            continue
-        if kind == "sign":
+        elif kind == "sign":
             if state == "sign" or state == "star":
                 raise PencilParseError("misplaced sign in %r" % text)
-            sign = 1 if match.group("sign") == "+" else -1
-            state = "sign"
-            continue
-        token = match.group("num") if kind == "num" else match.group("var")
-        if kind != "num" and token not in ("l", "m"):
-            raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (token, text))
-        if state == "factor":
-            raise PencilParseError("missing '*' before %r in %r" % (token, text))
-        if state != "star":  # the factor starts a term
-            if len(read) > MAX_DEGREE:
-                raise PencilParseError("entry has more than %d terms" % (MAX_DEGREE + 1))
-            read.append([sign, 0, 0])
-        term = read[-1]
-        if kind != "num":
-            term[1 if token == "l" else 2] += 1 if kind == "var" else _number(match.group("exp"))
         else:
+            name = match.group("num") if kind == "num" else match.group("var")
+            if kind != "num" and name not in ("l", "m"):
+                raise PencilParseError("bad variable %r in %r: use l, m and l^2" % (name, text))
+            if state == "factor":
+                raise PencilParseError("missing '*' before %r in %r" % (name, text))
+            if state != "star":  # the factor starts a term
+                count += 1
+                if count > MAX_DEGREE + 1:
+                    raise PencilParseError("entry has more than %d terms" % (MAX_DEGREE + 1))
             try:
-                term[0] *= _number(token)
+                _number(name if kind == "num" else match.group("exp") or "1")
             except ZeroDivisionError:
                 raise PencilParseError("zero denominator in %r" % text) from None
-        state = "factor"
+            kind = "factor"
+        state = kind
     if state == "star":
         raise PencilParseError("dangling '*' in %r" % text)
     if state == "sign":
         raise PencilParseError("dangling sign in %r" % text)
-    sums = {}  # (exponent of l, exponent of m) -> coefficient
-    for coeff, el, em in read:
-        sums[el, em] = sums.get((el, em), 0) + coeff
-    form = [0] * (degree + 1)
-    for (el, em), c in sums.items():
-        if c:
-            if el + em != degree:
-                raise PencilParseError("%r is not a form of degree %d" % (text, degree))
-            form[el] = c
-    return tuple(form)
+    raise AssertionError("parse_form rejected %r, which has no bad token" % text)
 
 
 def load_pencil(path):
@@ -236,7 +271,7 @@ def load_pencil(path):
         raise PencilParseError("%s is not UTF-8 text: %s" % (path, exc)) from exc
     if not lines or not lines[0].startswith("degree"):
         raise PencilParseError("first line must be 'degree d'")
-    header = _HEADER.fullmatch(lines[0])
+    header = _pencil_patterns()[3].fullmatch(lines[0])
     if not header:
         raise PencilParseError("malformed degree header %r" % lines[0])
     degree = _number(header.group(1))
@@ -250,10 +285,8 @@ def load_pencil(path):
         raise PencilParseError("expected 10 entry lines, got %s" % got)
     from . import pencil
 
-    entries = [[None] * 4 for _ in range(4)]  # ENTRY_ORDER and symmetry fill all 16
-    for (i, j), text in zip(ENTRY_ORDER, body):
-        entries[i][j] = entries[j][i] = parse_form(text, degree)
-    return pencil.QuadricPencil(entries)
+    # the entry lines are the entries i <= j in pencil.UPPER order
+    return pencil.QuadricPencil(pencil.symmetric([parse_form(text, degree) for text in body]))
 
 
 # -- argument parsing -------------------------------------------------------------

@@ -27,7 +27,7 @@ Hodge dual of a row pair's minors).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 from operator import add
 
@@ -42,6 +42,9 @@ from .poly import _c_gcd, _c_root_count, _fraction, _int_rank, _pack, _packing_s
 # complement of PAIRS[k] is PAIRS[5 - k]; _HODGE_SIGNS[k] is the sign of the
 # permutation (a, b, c, d) that lists PAIRS[k] and then its complement.
 PAIRS = tuple(combinations(range(4), 2))
+# The index pairs i <= j of the ten distinct entries of a symmetric 4x4
+# matrix, in the order of the entry lines of a pencil file.
+UPPER = tuple(combinations_with_replacement(range(4), 2))
 _HODGE_SIGNS = tuple((-1) ** sum(x > y for x, y in combinations(ab + cd, 2))
                      for ab, cd in zip(PAIRS, reversed(PAIRS)))
 
@@ -72,6 +75,15 @@ def _signed_digits(v, shift):
     return out
 
 
+def symmetric(upper):
+    """The symmetric 4x4 matrix, a list of rows, whose entries i <= j are
+    the ten items of `upper` in UPPER order."""
+    m = [[None] * 4 for _ in range(4)]
+    for (i, j), x in zip(UPPER, upper):
+        m[i][j] = m[j][i] = x
+    return m
+
+
 def _form_mul(f, g):
     """The product of two binary forms given as coefficient tuples."""
     out = [0] * (len(f) + len(g) - 1)
@@ -86,13 +98,13 @@ class QuadricPencil:
     tuple of d + 1 coefficients (int or Fraction) with l^i*m^(d-i) at i."""
 
     def __init__(self, entries):
-        rows = tuple(tuple(tuple(f) for f in row) for row in entries)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+        rows = tuple([tuple([tuple(f) for f in row]) for row in entries])
+        if len(rows) != 4 or any([len(r) != 4 for r in rows]):
             raise InvalidParameterError("pencil matrix must be 4x4")
         lengths = {len(f) for row in rows for f in row}
         if len(lengths) != 1 or 0 in lengths:
             raise InvalidParameterError("pencil entries must be nonempty tuples of one length")
-        if any(rows[i][j] != rows[j][i] for i in range(4) for j in range(i)):
+        if any([rows[i][j] != rows[j][i] for i, j in PAIRS]):
             raise InvalidParameterError("pencil matrix must be symmetric")
         self.entries = rows
         self.degree = lengths.pop() - 1
@@ -134,29 +146,32 @@ class QuadricPencil:
     # -- rank analysis ------------------------------------------------------
 
     @cached_property
+    def _z_upper(self):
+        # The chart m = 1: coefficient i of an entry is that of l^i.  The ten
+        # distinct entries, in UPPER order, are scaled by the lcm of their
+        # denominators, which keeps the matrix symmetric (all ints: scale 1,
+        # and they are used as they are); a nonzero rational scale keeps the
+        # rank, the kernel, and the roots and the infinity multiplicity of
+        # every minor.  (The lcm takes a list: unpacking a generator there
+        # made the peak RSS grow with every pencil on CPython 3.11.)
+        upper = [self.entries[i][j] for i, j in UPPER]
+        if all([type(c) is int for f in upper for c in f]):
+            return upper
+        ratios = [[c.as_integer_ratio() for c in f] for f in upper]
+        scale = lcm(*[d for f in ratios for _, d in f])
+        return [[n * (scale // d) for n, d in f] for f in ratios]
+
+    @cached_property
     def _z_matrix(self):
-        # The chart m = 1: coefficient i of an entry is that of l^i.  All
-        # entries are scaled by the lcm of their denominators (an int has
-        # denominator 1), which keeps the matrix symmetric; a nonzero rational
-        # scale keeps the rank, the kernel, and the roots and the infinity
-        # multiplicity of every minor.  (The lcm takes a list: unpacking a
-        # generator there made the peak RSS grow with every pencil on
-        # CPython 3.11.)
-        scale = lcm(*[c.denominator for row in self.entries for f in row for c in f])
-        return tuple(tuple(tuple(c.numerator * (scale // c.denominator) for c in f) for f in row)
-                     for row in self.entries)
+        return symmetric(self._z_upper)
 
     @cached_property
     def _packed(self):
-        # (P, b): P = M(2^b), each entry packed once (M is symmetric)
-        m = self._z_matrix
-        height = max(abs(c) for row in m for f in row for c in f)
+        # (P, b): P = M(2^b), each distinct entry packed once (M is symmetric)
+        upper = self._z_upper
+        height = max([abs(c) for f in upper for c in f])
         shift = _packing_shift(height, self.degree + 1, 4)
-        packed = [[0] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                packed[i][j] = packed[j][i] = _pack(m[i][j], shift)
-        return packed, shift
+        return symmetric([_pack(f, shift) for f in upper]), shift
 
     @cached_property
     def _rank(self):

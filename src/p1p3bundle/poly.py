@@ -338,14 +338,19 @@ def _c_root_count(a):
     return len(a) - len(_c_gcd(a, [i * c for i, c in enumerate(a)][1:]))
 
 
-def _pack(coeffs, shift):
-    """sum c_i << shift*i, the list at x = 2**shift, built by halves (pairs,
-    then pairs of pairs): each step shifts and adds, and none multiplies."""
-    coeffs = list(coeffs)
-    while len(coeffs) > 1:
-        coeffs = [lo + (hi << shift) for lo, hi in zip(coeffs[::2], coeffs[1::2] + [0])]
-        shift *= 2
-    return coeffs[0] if coeffs else 0
+def _pack(coeffs, shift, lo=0, hi=None):
+    """sum c_i << shift*(i - lo) over lo <= i < hi (hi defaults to the end),
+    the list at x = 2**shift, built by halves: the two halves of the range
+    are packed on their own and joined by one shift and one add, so no
+    coefficient is multiplied and no list is copied."""
+    n = (len(coeffs) if hi is None else hi) - lo
+    if n > 2:
+        mid = lo + (n + 1) // 2
+        high = _pack(coeffs, shift, mid, lo + n)
+        return _pack(coeffs, shift, lo, mid) + (high << shift * (mid - lo))
+    if n == 2:
+        return coeffs[lo] + (coeffs[lo + 1] << shift)
+    return coeffs[lo] if n else 0
 
 
 def _packing_shift(height, length, order):

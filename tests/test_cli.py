@@ -456,6 +456,30 @@ def test_commands_load_only_the_modules_they_use():
         assert loaded & _COMPUTATION == used, argv
 
 
+def test_verify_compiles_no_pencil_pattern():
+    # the pencil patterns are compiled on the first pencil file, not when
+    # `cli` is imported: a cold verify compiles none of them
+    code = """
+import re
+compiled = []
+_compile = re.compile
+def counting_compile(pattern, flags=0):
+    compiled.append(pattern)
+    return _compile(pattern, flags)
+re.compile = counting_compile
+from p1p3bundle import cli
+assert cli.main(["verify", "--claim", "intro-h1"]) == 0
+before = set(compiled)
+ours = {p.pattern for p in cli._pencil_patterns()}
+assert ours and ours <= set(compiled), "the counter does not see the pencil patterns"
+assert not ours & before, "compiled before the first pencil file"
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(p1p3bundle.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_computation_modules_do_not_load_dataclasses():
     # their records are tuples; only the claim registry is a dataclass
     code = "from p1p3bundle import cohom, stability, geometry, heisenberg"
@@ -565,7 +589,23 @@ def test_pencil_non_ascii_digits_are_rejected(tmp_path, capsys):
     assert _pencil_exit(f, capsys)[0] == 2
 
 
-def test_pencil_entry_term_cap(tmp_path, capsys):
+class _CountingPattern:
+    """A compiled pattern that counts the calls of its methods."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+
+        def counted(*args):
+            self.calls += 1
+            return method(*args)
+
+        return counted
+
+
+def test_pencil_entry_term_cap(tmp_path, capsys, monkeypatch):
     cap = cli.MAX_DEGREE + 1  # the monomials of a binary form of degree MAX_DEGREE
     full = " + ".join("l^%d*m^%d" % (i, cli.MAX_DEGREE - i) for i in range(cap))
     assert cli.parse_form(full, cli.MAX_DEGREE) == (1,) * cap
@@ -577,11 +617,18 @@ def test_pencil_entry_term_cap(tmp_path, capsys):
     _write_pencil(f, "degree %d" % cli.MAX_DEGREE, [full] + ["0"] * 9)
     code, captured = _pencil_exit(f, capsys)
     assert code == 0 and captured.out.startswith("degree: %d\n" % cli.MAX_DEGREE)
-    # rejected after 102 terms, without echoing the 600 kB entry
-    _write_pencil(f, "degree 1", ["+".join(["0"] * 300000)] + ["0"] * 9)
+    # the 3,000,000-term entry of the CI step, rejected without echoing it
+    # after at most MAX_DEGREE + 2 term matches and one token scan of as many
+    # terms: counted by wrapping each pencil pattern
+    patterns = [_CountingPattern(p) for p in cli._pencil_patterns()]
+    monkeypatch.setattr(cli, "_pencil_patterns", lambda: patterns)
+    _write_pencil(f, "degree 1", ["+".join(["0"] * 3000000)] + ["0"] * 9)
     code, captured = _pencil_exit(f, capsys)
     assert code == 2 and captured.out == ""
     assert captured.err == "error: %s\n" % message
+    token, term, _, _ = patterns
+    assert 0 < term.calls <= cli.MAX_DEGREE + 2
+    assert 0 < token.calls <= 2 * (cli.MAX_DEGREE + 2)  # a sign and a number per term
 
 
 # Pencil files drawn from the grammar's alphabet, plus Unicode digits and

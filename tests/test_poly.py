@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from p1p3bundle.cli import MAX_DEGREE
 from p1p3bundle.errors import InvalidParameterError, SolverError
+from p1p3bundle.pencil import _signed_digits
 from p1p3bundle.poly import (
     ParamPoly,
     _c_gcd,
@@ -360,6 +363,23 @@ def test_bareiss_rank_does_not_touch_its_input():
     assert matrix == copy
     assert _int_rank([]) == 0
     assert _int_rank([[0, 0]]) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4 * MAX_DEGREE + 1), st.integers(1, 4300), st.integers(-8, 8), st.randoms())
+@example(1, 4300, 1, random.Random(1))
+@example(2, 4300, 1, random.Random(2))
+@example(4 * MAX_DEGREE, 4300, 1, random.Random(3))
+@example(4 * MAX_DEGREE + 1, 4300, 1, random.Random(4))
+def test_pack_is_the_list_at_a_power_of_two(length, digits, slack, rng):
+    # signed coefficients of up to `digits` digits, some of them 0; b is
+    # sometimes too small to read the list back, and then only the value counts
+    coeffs = [rng.choice((-1, 0, 1)) * rng.randrange(10 ** digits) for _ in range(length)]
+    shift = max(1, max(abs(c) for c in coeffs).bit_length() + 1 + slack)
+    packed = _pack(coeffs, shift)
+    assert packed == sum(c << shift * i for i, c in enumerate(coeffs))
+    if all(abs(c) < 1 << (shift - 1) for c in coeffs):
+        assert _signed_digits(packed, shift) == _list_trim(coeffs)
 
 
 # -- univariate gcd and root count over Z, against sympy -------------------------
