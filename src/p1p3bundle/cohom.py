@@ -3,6 +3,8 @@
 Bott's formula on P^n, Kunneth on products, Serre duality checks, and a
 long-exact-sequence dimension solver for short exact sheaf sequences with
 one unknown slot, solved from the one exactness relation at each index.
+Twists are ints; anything else, a bool or a Fraction included, raises
+InvalidParameterError.
 Euler characteristics computed from Chern classes (Hirzebruch-Riemann-Roch,
 on P1xP3 and on the Hirzebruch surfaces alike) live in `chern`.
 """
@@ -13,7 +15,7 @@ import itertools
 from collections import namedtuple
 from math import comb
 
-from .errors import InconsistentError, InvalidParameterError
+from .errors import InconsistentError, InvalidParameterError, require_ints
 
 
 class CohomTable(tuple):
@@ -37,6 +39,7 @@ class CohomTable(tuple):
 
 def cohom_pn(n, k):
     """Bott's formula for O(k) on P^n: cohomology only in degrees 0 and n."""
+    require_ints(n, k)
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     dims = [0] * (n + 1)
@@ -58,9 +61,35 @@ def kunneth(ta, tb):
     return CohomTable(dims)
 
 
+_ZERO_P1XP3 = CohomTable((0, 0, 0, 0, 0))
+
+
 def cohom_p1xp3(a, b):
-    """Cohomology table of O(a, b) on P1xP3."""
-    return kunneth(cohom_pn(1, a), cohom_pn(3, b))
+    """Cohomology table of O(a, b) on P1xP3, for int a and b.
+
+    By Bott, O(a) on P1 has h^0 = a + 1 (a >= 0) or h^1 = -a - 1
+    (a <= -2) and nothing else, and O(b) on P3 has h^0 = C(b + 3, 3)
+    (b >= 0) or h^3 = C(-b - 1, 3) (b <= -4); the table's one possibly
+    nonzero entry is h^(i+j), their product.  It equals
+    kunneth(cohom_pn(1, a), cohom_pn(3, b)), and its entries are
+    nonnegative by construction.
+    """
+    require_ints(a, b)
+    if a >= 0:
+        i, x = 0, a + 1
+    elif a <= -2:
+        i, x = 1, -a - 1
+    else:
+        return _ZERO_P1XP3
+    if b >= 0:
+        j, y = 0, comb(b + 3, 3)
+    elif b <= -4:
+        j, y = 3, comb(-b - 1, 3)
+    else:
+        return _ZERO_P1XP3
+    dims = [0, 0, 0, 0, 0]
+    dims[i + j] = x * y
+    return tuple.__new__(CohomTable, dims)
 
 
 def serre_dual_check(a, b):
@@ -75,6 +104,7 @@ def intro_h1(a, b):
 
 def cohom_sigma0(alpha, beta):
     """Cohomology of O(alpha C0 + beta f) on Sigma_0 = P1xP1 via Kunneth."""
+    require_ints(alpha, beta)
     return kunneth(cohom_pn(1, alpha), cohom_pn(1, beta))
 
 

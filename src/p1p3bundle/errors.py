@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the int check that
+raises one."""
 
 
 class ArtifactError(Exception):
@@ -43,3 +44,11 @@ class UnknownClaimError(ArtifactError):
 
 class PencilParseError(ArtifactError):
     """Malformed pencil input file."""
+
+
+def require_ints(x, y):
+    """Raise InvalidParameterError unless x and y are both ints.  A bool, a
+    Fraction or a float is refused: a float such as 0.1 is not the rational
+    it shows."""
+    if type(x) is not int or type(y) is not int:
+        raise InvalidParameterError("expected ints, got %s" % ((x, y),))

@@ -17,9 +17,10 @@ Cauchy's bound its roots, if it is nonzero, are below 1 + B < 2^b, and:
   digits, exact because its coefficients are at most 2(d+1)H^2 < 2^(b-1)
   in absolute value; M is symmetric, so 21 of the 36 minors are distinct.
 
-From the minors come the rank-1 parameter locus (distinct projective
-roots of their gcd, the root at infinity included: a primitive gcd over
-Z, and deg g - deg gcd(g, g') distinct finite roots of it) and the
+From the minors of a rank-2 pencil come the rank-1 parameter locus
+(distinct projective roots of their gcd, the root at infinity included:
+a primitive gcd over Z, and deg g - deg gcd(g, g') distinct finite roots
+of it; a pencil of rank <= 1 is rank <= 1 on the whole line) and the
 family of singular lines of a rank-2 pencil (Plücker coordinates, the
 Hodge dual of a row pair's minors).
 """
@@ -219,21 +220,23 @@ class QuadricPencil:
         Computed as the number of distinct projective roots of the gcd g of
         the nonzero 2x2 minors, the root at infinity (m = 0) included; g
         has deg g - deg gcd(g, g') distinct finite roots.
-        Returns WHOLE_LINE when every minor vanishes identically.
+        Returns WHOLE_LINE when the generic rank is at most 1, which is
+        exactly when every minor vanishes identically; no minor is then
+        computed.
         """
-        if self.generic_rank() > 2:
+        rank = self.generic_rank()
+        if rank > 2:
             raise RankTooHighError("rank1_parameter_count needs generic rank <= 2")
-        g = None
-        inf_mult = None
-        for f in [f for I, row in enumerate(self._minors) for f in row[I:] if f]:
-            # the homogeneous minor has degree 2d; l-degree len(f) - 1
-            mult = 2 * self.degree - (len(f) - 1)
-            inf_mult = mult if inf_mult is None else min(inf_mult, mult)
-            g = f if g is None else _c_gcd(g, f)
-        if g is None:
+        if rank <= 1:
             return WHOLE_LINE
+        minors = [f for I, row in enumerate(self._minors) for f in row[I:] if f]
+        g = minors[0]
+        for f in minors[1:]:
+            g = _c_gcd(g, f)
         count = _c_root_count(g)
-        if inf_mult >= 1:
+        # the homogeneous minors have degree 2d and l-degrees len(f) - 1, so
+        # m = 0 is a root of all of them when each l-degree is below 2d
+        if max(len(f) for f in minors) <= 2 * self.degree:
             count += 1
         return count
 

@@ -65,6 +65,10 @@ class ParamPoly:
 
     @staticmethod
     def const(value):
+        if value.__class__ is int:  # already in canonical form
+            p = object.__new__(ParamPoly)
+            p.terms = {_ONE: value} if value else {}
+            return p
         return ParamPoly({_ONE: value})
 
     @staticmethod

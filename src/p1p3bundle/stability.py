@@ -1,7 +1,10 @@
 """Slope stability of the rank-2 bundle with respect to O(m, n).
 
-Stability is the sign of one integer linear form per destabilizer corner,
-read off the Chow ring once, with det E read off c1(E).  The
+The slope L.H^3 = n^2 (u a n + v b m) of L = O(a, b) with respect to
+H = O(m, n) is read off the Chow ring once as the int pair (u, v), and
+stability is the sign of one integer linear form per destabilizer corner,
+also read off once, with det E read off c1(E); a query then runs on ints
+alone.  The
 subsheaf-existence oracle is deliberately three-valued: the vanishing facts
 and the shipped positive instances are all the argument needs, and pairs
 the source material does not decide stay "unknown".  Only a corner the
@@ -15,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import chow
-from .errors import InconsistentError, InvalidParameterError
+from .errors import InconsistentError, InvalidParameterError, require_ints
 from .poly import ParamPoly
 
 
@@ -25,19 +28,14 @@ class Polarization(namedtuple("Polarization", "m n")):
     __slots__ = ()
 
     def __new__(cls, m, n):
-        _require_ints(m, n)
-        if m <= 0 or n <= 0:
-            raise InvalidParameterError("O(m,n) is ample only for m > 0, n > 0")
-        return tuple.__new__(cls, (m, n))
+        if type(m) is int and type(n) is int and m > 0 and n > 0:
+            return tuple.__new__(cls, (m, n))
+        require_ints(m, n)
+        raise InvalidParameterError("O(m,n) is ample only for m > 0, n > 0")
 
     @classmethod
     def _make(cls, iterable):  # so that _replace validates too
         return cls(*iterable)
-
-
-def _require_ints(x, y):  # a float such as 0.1 is not the rational it shows
-    if type(x) is not int or type(y) is not int:
-        raise InvalidParameterError("expected ints, got %s" % ((x, y),))
 
 
 # (p, q) with h^0(I_X(p, q)) != 0 beyond the q >= 8 clause (the octic
@@ -57,13 +55,27 @@ def _slope_poly():
     return chow.degree(line * pol ** 3)
 
 
+@lru_cache(maxsize=None)
+def _slope_form():
+    """(u, v) with `_slope_poly()` = u a n^3 + v b m n^2, read off once;
+    InconsistentError unless it has that shape with int u and v."""
+    slope = _slope_poly()
+    u = slope.coefficient((("a", 1), ("n", 3)))
+    v = slope.coefficient((("b", 1), ("m", 1), ("n", 2)))
+    a, b, m, n = (ParamPoly.var(x) for x in "abmn")
+    if slope != n * n * (u * a * n + v * b * m) or u.denominator != 1 or v.denominator != 1:
+        raise InconsistentError("slope %s is not u a n^3 + v b m n^2 with int u, v" % slope)
+    return int(u), int(v)
+
+
 def slope_dot(line, pol):
-    """L . H^3 for L = O(a, b) with int a, b and H = O(m, n), computed in
-    the Chow ring, as a constant ParamPoly."""
+    """L . H^3 for L = O(a, b) with int a, b and H = O(m, n), as a constant
+    ParamPoly: n^2 (u a n + v b m) with the (u, v) of the Chow ring."""
     a, b = line
-    _require_ints(a, b)
+    require_ints(a, b)
     m, n = pol
-    return ParamPoly.const(_slope_poly().value({"a": a, "b": b, "m": m, "n": n}))
+    u, v = _slope_form()
+    return ParamPoly.const(n * n * (u * a * n + v * b * m))
 
 
 def subsheaf_status(p, q):
@@ -95,7 +107,7 @@ def _det():
 
     c1 = chern.abelian_surface_bundle().c1
     P, Q = (c1.coeff(g).value({}) for g in ("h1", "h3"))
-    _require_ints(P, Q)
+    require_ints(P, Q)
     return P, Q
 
 
@@ -144,16 +156,20 @@ def gap_forms():
 
 def stability_decide(pol):
     """'stable', 'semistable_not_stable' or 'unstable' w.r.t. O(m, n): the
-    sign of the largest gap form at (m, n).  A verdict other than 'stable'
+    sign of the largest gap form at (m, n), each form evaluated once.  A verdict other than 'stable'
     needs a witnessed form attaining it, else InconsistentError."""
     m, n = pol
-    forms = gap_forms()
-    worst = max(u * n + v * m for u, v, _ in forms)
+    worst = witnessed = None
+    for u, v, w in gap_forms():
+        gap = u * n + v * m
+        if worst is None or gap > worst:
+            worst, witnessed = gap, w
+        elif gap == worst:
+            witnessed = witnessed or w
     if worst < 0:
         return "stable"
-    for u, v, witnessed in forms:
-        if witnessed and u * n + v * m == worst:
-            return "semistable_not_stable" if worst == 0 else "unstable"
+    if witnessed:
+        return "semistable_not_stable" if worst == 0 else "unstable"
     raise InconsistentError("no witnessed destabilizer attains the maximum at %s" % (pol,))
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,48 @@ def test_kunneth_examples():
     assert cohom.cohom_p1xp3(-2, 0)[1] == 1
     assert cohom.cohom_p1xp3(-3, 1)[1] == 8
     assert tuple(cohom.cohom_p1xp3(0, 0)) == (1, 0, 0, 0, 0)
+
+
+def test_cohom_p1xp3_is_the_kunneth_product_of_bott_tables():
+    wide = [10 ** 30, -10 ** 30, 10 ** 30 + 7, -10 ** 30 - 7]
+    points = [(a, b) for a in range(-40, 41) for b in range(-40, 41)]
+    points += [(a, b) for a in wide for b in wide + [0, -1, -4, 5]]
+    points += [(a, b) for a in [0, -1, -2, 5] for b in wide]
+    for a, b in points:
+        table = cohom.cohom_p1xp3(a, b)
+        assert type(table) is cohom.CohomTable
+        assert table == cohom.kunneth(cohom.cohom_pn(1, a), cohom.cohom_pn(3, b)), (a, b)
+
+
+def test_cohom_p1xp3_builds_no_intermediate_table(monkeypatch):
+    cohom.cohom_p1xp3(-3, 1)
+    calls = []
+    for name in ("cohom_pn", "kunneth"):
+        f = getattr(cohom, name)
+        monkeypatch.setattr(cohom, name, lambda *args, f=f, name=name: calls.append(name) or f(*args))
+    new = cohom.CohomTable.__new__
+    monkeypatch.setattr(cohom.CohomTable, "__new__",
+                        lambda cls, dims: calls.append("CohomTable") or new(cls, dims))
+    for k in range(1000):
+        cohom.cohom_p1xp3(k % 41 - 20, k % 37 - 18)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, args", [
+    ("cohom_p1xp3", (-1.5, -1)),
+    ("cohom_p1xp3", (Fraction(-3, 2), -1)),
+    ("cohom_p1xp3", (True, 0)),
+    ("cohom_p1xp3", (1.5, 0)),
+    ("cohom_p1xp3", (0, 2.0)),
+    ("cohom_pn", (3, Fraction(2))),
+    ("cohom_pn", (1.0, 2)),
+    ("cohom_sigma0", (-4, 1.0)),
+    ("cohom_sigma0", (False, 1)),
+    ("serre_dual_check", (0.5, 0)),
+])
+def test_non_int_twists_are_rejected(name, args):
+    with pytest.raises(InvalidParameterError, match="expected ints"):
+        getattr(cohom, name)(*args)
 
 
 def test_kunneth_chi_multiplicative():

@@ -129,6 +129,23 @@ def test_single_vector_is_whole_line():
     assert p.rank1_parameter_count() is WHOLE_LINE
 
 
+def test_no_minor_is_computed_below_rank_two(monkeypatch):
+    # every 2x2 minor vanishes exactly when the rank is at most 1
+    minors = []
+    real_digits = pencil._signed_digits
+    monkeypatch.setattr(pencil, "_signed_digits",
+                        lambda v, shift: minors.append(v) or real_digits(v, shift))
+    v = (L, M, ParamPoly.const(0), ParamPoly.const(0))
+    w = (M, L, ParamPoly.const(0), ParamPoly.const(0))
+    zero = QuadricPencil([[(0, 0)] * 4 for _ in range(4)])
+    for p, rank in [(zero, 0), (_from_vectors(v), 1)]:
+        assert p.generic_rank() == rank
+        assert p.rank1_parameter_count() is WHOLE_LINE
+    assert minors == []
+    assert _from_vectors(v, w).rank1_parameter_count() == 2
+    assert len(minors) == 21
+
+
 def test_two_vector_example():
     v = (L, M, ParamPoly.const(0), ParamPoly.const(0))
     w = (M, L, ParamPoly.const(0), ParamPoly.const(0))

@@ -1,11 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p1p3bundle import claims, cli, stability
+from p1p3bundle import chow, claims, cli, stability
 from p1p3bundle.errors import InconsistentError, InvalidParameterError
 from p1p3bundle.poly import ParamPoly
 
@@ -56,6 +57,32 @@ def test_slope_additivity_in_line_argument():
         lhs = stability.slope_dot((a1 + a2, b1 + b2), pol).constant()
         rhs = (stability.slope_dot((a1, b1), pol) + stability.slope_dot((a2, b2), pol)).constant()
         assert lhs == rhs
+
+
+def test_slope_is_the_degree_in_the_chow_ring():
+    ring = chow.p1xp3()
+    h1, h3 = ring.gen("h1"), ring.gen("h3")
+    rng = random.Random(7)
+    for k in range(300):
+        bits = 120 if k % 3 == 0 else 6  # every third point has wide ints
+        a, b = (rng.randint(-2 ** bits, 2 ** bits) for _ in range(2))
+        m, n = (rng.randint(1, 2 ** bits) for _ in range(2))
+        got = stability.slope_dot((a, b), stability.Polarization(m, n))
+        assert got == chow.degree((a * h1 + b * h3) * (m * h1 + n * h3) ** 3), (a, b, m, n)
+        assert type(got.terms.get((), 0)) is int and type(got.constant()) is Fraction
+
+
+def test_slope_dot_makes_no_polynomial_product(monkeypatch):
+    pol = stability.Polarization(3, 2)
+    stability.slope_dot((1, 1), pol)  # reads the slope form
+    calls = []
+    for name in ("__mul__", "__rmul__", "value"):
+        f = getattr(ParamPoly, name)
+        monkeypatch.setattr(ParamPoly, name,
+                            lambda self, other, f=f, name=name: calls.append(name) or f(self, other))
+    for k in range(1000):
+        stability.slope_dot((k % 61 - 30, k % 59 - 29), pol)
+    assert calls == []
 
 
 def test_subsheaf_status_cases():
@@ -148,10 +175,13 @@ def test_stability_decide_matches_corner_slopes(point):
     assert stability.stability_decide(pol) == want
 
 
-@pytest.mark.parametrize("slope", [
+_WRONG_SLOPES = [
     lambda a, b, m, n: a * n ** 3 + b * m * m * n * n,  # n^2 times a quadratic form
     lambda a, b, m, n: Fraction(1, 3) * a * n ** 3 + 3 * b * m * n ** 2,  # u = 2/3
-])
+]
+
+
+@pytest.mark.parametrize("slope", _WRONG_SLOPES)
 def test_gap_forms_reject_a_gap_that_is_not_an_integer_linear_form(monkeypatch, slope):
     a, b, m, n = (ParamPoly.var(x) for x in "abmn")
     monkeypatch.setattr(stability, "_slope_poly", lambda: slope(a, b, m, n))
@@ -161,6 +191,20 @@ def test_gap_forms_reject_a_gap_that_is_not_an_integer_linear_form(monkeypatch, 
             stability.gap_forms()
     finally:
         stability.gap_forms.cache_clear()
+
+
+@pytest.mark.parametrize("slope", _WRONG_SLOPES + [
+    lambda a, b, m, n: a * n ** 3 + 3 * b * m * n ** 2 + a * b,  # one term more
+], ids=["quadratic-in-m", "u=1/3", "extra-term"])
+def test_slope_form_rejects_a_slope_of_another_shape(monkeypatch, slope):
+    a, b, m, n = (ParamPoly.var(x) for x in "abmn")
+    monkeypatch.setattr(stability, "_slope_poly", lambda: slope(a, b, m, n))
+    stability._slope_form.cache_clear()
+    try:
+        with pytest.raises(InconsistentError, match="is not u a n"):
+            stability.slope_dot((1, 1), stability.Polarization(1, 1))
+    finally:
+        stability._slope_form.cache_clear()
 
 
 def test_stable_ratio_is_the_lowest_ray(monkeypatch):
