@@ -10,11 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import p1p3bundle
-from p1p3bundle import claims, cli
+from p1p3bundle import claims, cli, pencilfile
 from p1p3bundle.errors import PencilParseError, SolverError
 from p1p3bundle.poly import ParamPoly
 
@@ -114,17 +114,32 @@ def test_calc_slope(capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
+@pytest.mark.parametrize("kind, arity", [("chi", 2), ("cohom", 2), ("slope", 4)])
+def test_calc_answer_past_the_digit_limit_exits_2(kind, arity, capsys):
+    # the answers are cubic in the twist: 1,434 nines make one of more than
+    # 4300 digits, which CPython refuses to convert to a string
+    for nines, code in [(1433, 0), (1434, 2)]:
+        argv = ["calc", kind, "1", "9" * nines] + ["1"] * (arity - 2)
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.endswith("\n") and not captured.err
+        else:
+            assert captured.out == ""
+            assert captured.err == "error: the answer has more than 4300 digits\n"
+
+
 def test_parse_form():
-    assert cli.parse_form("3*l^2*m - 1/2*m^3", 3) == (Fraction(-1, 2), 0, 3, 0)
-    assert cli.parse_form("0", 2) == (0, 0, 0)
-    assert cli.parse_form("-l", 1) == (0, -1)
-    assert cli.parse_form("l*m + m*l", 2) == (0, 2, 0)
-    assert cli.parse_form("l - l + m^3", 3) == (1, 0, 0, 0)  # cancelled terms are dropped
+    assert pencilfile.parse_form("3*l^2*m - 1/2*m^3", 3) == (Fraction(-1, 2), 0, 3, 0)
+    assert pencilfile.parse_form("0", 2) == (0, 0, 0)
+    assert pencilfile.parse_form("-l", 1) == (0, -1)
+    assert pencilfile.parse_form("l*m + m*l", 2) == (0, 2, 0)
+    assert pencilfile.parse_form("l - l + m^3", 3) == (1, 0, 0, 0)  # cancelled terms are dropped
     for text, degree in [("l + l*m", 1), ("l + l*m", 2), ("l", 2), ("x^0*l", 1)]:
         with pytest.raises(PencilParseError):
-            cli.parse_form(text, degree)
+            pencilfile.parse_form(text, degree)
     with pytest.raises(PencilParseError, match=re.escape("'l + l*m' is not a form of degree 2")):
-        cli.parse_form("l + l*m", 2)
+        pencilfile.parse_form("l + l*m", 2)
 
 
 def _coefficients(p, degree):
@@ -163,9 +178,9 @@ def test_parse_form_round_trips_str(form):
     want = _coefficients(p, degree)
     if want is None:
         with pytest.raises(PencilParseError, match="is not a form of degree %d" % degree):
-            cli.parse_form(str(p), degree)
+            pencilfile.parse_form(str(p), degree)
     else:
-        assert cli.parse_form(str(p), degree) == want
+        assert pencilfile.parse_form(str(p), degree) == want
 
 
 # The token grammar of the pencil file format, copied here so that the
@@ -302,7 +317,7 @@ def test_parse_form_agrees_with_the_per_token_parser(text, degree):
         want = _coefficients(want, degree)
         if want is None:
             want = "error: %r is not a form of degree %d" % (text, degree)
-    assert _outcome(lambda t: cli.parse_form(t, degree), text) == want
+    assert _outcome(lambda t: pencilfile.parse_form(t, degree), text) == want
 
 
 def test_pencil_rank_builds_no_parampoly(tmp_path, monkeypatch):
@@ -318,7 +333,7 @@ def test_pencil_rank_builds_no_parampoly(tmp_path, monkeypatch):
         "0", "0",
         "0",
     ])
-    p = cli.load_pencil(str(f))
+    p = pencilfile.load_pencil(str(f))
     assert p.entries[0][0] == (0, Fraction(-1, 2), 1)
     assert p.generic_rank() == 2
     assert p.rank1_parameter_count() == 3  # the roots of l*m^2*(3*l - 2*m)
@@ -342,7 +357,7 @@ def test_parse_form_rejects_garbage():
     ]
     for text, message in cases:
         with pytest.raises(PencilParseError, match=re.escape(message)):
-            cli.parse_form(text, 1)
+            pencilfile.parse_form(text, 1)
 
 
 def _write_pencil(path, header, lines):
@@ -429,7 +444,8 @@ def test_pencil_indented_comment_is_ignored(tmp_path, capsys):
     assert "generic rank: 2" in capsys.readouterr().out
 
 
-_COMPUTATION = {"chern", "chow", "cohom", "geometry", "heisenberg", "pencil", "poly", "stability"}
+_COMPUTATION = {"chern", "chow", "cohom", "geometry", "heisenberg", "pencil", "pencilfile", "poly",
+                "stability"}
 
 
 def _modules_loaded_by(code, package="p1p3bundle"):
@@ -442,8 +458,10 @@ def _modules_loaded_by(code, package="p1p3bundle"):
     return {m.partition(".")[2] or m for m in proc.stdout.splitlines()[-1].split()}
 
 
-def test_commands_load_only_the_modules_they_use():
+def test_commands_load_only_the_modules_they_use(tmp_path):
     assert _modules_loaded_by("import p1p3bundle.cli") == {"p1p3bundle", "cli", "claims", "errors"}
+    f = tmp_path / "pencil.txt"
+    _write_pencil(f, "degree 1", ["l"] + ["0"] * 9)
     for argv, used in [
         (["verify", "--claim", "prop2.2", "--json"], {"heisenberg"}),
         (["calc", "cohom", "1", "2"], {"cohom"}),
@@ -451,14 +469,18 @@ def test_commands_load_only_the_modules_they_use():
         (["calc", "slope", "1", "1", "1", "2"], {"stability", "chow", "poly"}),
         # det E comes from c1(E), so the Section 3 claims load chern
         (["verify", "--claim", "prop3.1"], {"stability", "chow", "poly", "chern"}),
+        # the pencil claims build their pencils in code; only a file needs its format
+        (["verify", "--claim", "lemma1.3-linear"], {"pencil", "poly"}),
+        (["verify", "--claim", "lemma1.4-family"], {"pencil", "poly"}),
+        (["calc", "pencil-rank", str(f)], {"pencilfile", "pencil", "poly"}),
     ]:
         loaded = _modules_loaded_by("from p1p3bundle import cli\nassert cli.main(%r) == 0" % argv)
         assert loaded & _COMPUTATION == used, argv
 
 
 def test_verify_compiles_no_pencil_pattern():
-    # the pencil patterns are compiled on the first pencil file, not when
-    # `cli` is imported: a cold verify compiles none of them
+    # the pencil patterns are compiled when `pencilfile` is imported, which
+    # only a pencil file does: a cold verify of every claim compiles none
     code = """
 import re
 compiled = []
@@ -468,10 +490,11 @@ def counting_compile(pattern, flags=0):
     return _compile(pattern, flags)
 re.compile = counting_compile
 from p1p3bundle import cli
-assert cli.main(["verify", "--claim", "intro-h1"]) == 0
+assert cli.main(["verify"]) == 0
 before = set(compiled)
-ours = {p.pattern for p in cli._pencil_patterns()}
-assert ours and ours <= set(compiled), "the counter does not see the pencil patterns"
+from p1p3bundle import pencilfile
+ours = {pencilfile.TOKEN.pattern, pencilfile.HEADER.pattern}
+assert ours <= set(compiled), "the counter does not see the pencil patterns"
 assert not ours & before, "compiled before the first pencil file"
 """
     env = dict(os.environ, PYTHONPATH=str(Path(p1p3bundle.__file__).parents[1]))
@@ -486,14 +509,8 @@ def test_computation_modules_do_not_load_dataclasses():
     assert _modules_loaded_by(code, "dataclasses") == set()
 
 
-def test_cli_loads_fractions_only_for_a_fraction_token():
+def test_importing_cli_loads_no_fractions():
     assert _modules_loaded_by("import p1p3bundle.cli", "fractions") == set()
-    code = "from p1p3bundle import cli\nassert cli.parse_form('3*l + m', 1) == (1, 3)"
-    assert _modules_loaded_by(code, "fractions") == set()
-    # the first '/' imports it, in a fresh process
-    code = ("from p1p3bundle import cli\nform = cli.parse_form('1/2*l - 6/4*m + 2/2*l', 1)\n"
-            "assert repr(form) == '(Fraction(-3, 2), Fraction(3, 2))', form")
-    assert _modules_loaded_by(code, "fractions") == {"fractions"}
 
 
 def test_usage_error_exits_2():
@@ -518,6 +535,56 @@ def test_usage_errors_reach_the_current_stderr():
     assert cases[1][1] in captured[1] and cases[0][1] not in captured[1]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["list"], ["verify", "--claim", "eq5"]])
+def test_unwritable_stdout_exits_2(argv):
+    # /dev/full fails every write; buffered or not, the failure is one line
+    # on stderr and exit 2, never a traceback nor exit 1 (a failed claim)
+    env = dict(os.environ, PYTHONPATH=str(Path(p1p3bundle.__file__).parents[1]))
+    for unbuffered in ("", "1"):
+        env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "p1p3bundle.cli"] + argv, stdout=full,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+_NINES = ["9" * 1433, "9" * 1434]
+_JUNK = ["", "x", "-", "--json", "--claim", "eq5", "1.5", "0x1f", "1_0", "\u0663", "-h"]
+
+
+@st.composite
+def _wide_ints(draw):
+    """An int of 1 to 4300 digits, either sign, as argparse reads it."""
+    digits = draw(st.sampled_from("123456789")) * draw(st.integers(1, 4300))
+    return draw(st.sampled_from(["", "-"])) + digits
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["chi", "cohom", "slope", "pencil-rank", "verify", "list"]))
+    head = [command] if command in ("verify", "list") else ["calc", command]
+    token = st.one_of(_wide_ints(), st.integers(-50, 50).map(str), st.just("--"), st.sampled_from(_JUNK))
+    return head + draw(st.lists(token, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+@example(["calc", "chi", "1", _NINES[0]])
+@example(["calc", "chi", "1", _NINES[1]])
+@example(["calc", "cohom", "--", "1", "-" + _NINES[1]])
+@example(["calc", "slope", "1", _NINES[1], "1", "1"])
+def test_main_fuzz_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
+
+
 def _pencil_exit(path, capsys):
     code = cli.main(["calc", "pencil-rank", str(path)])
     return code, capsys.readouterr()
@@ -535,15 +602,15 @@ def test_pencil_malformed_headers_exit_2(tmp_path, capsys):
 
 def test_pencil_degree_cap(tmp_path, capsys):
     f = tmp_path / "pencil.txt"
-    _write_pencil(f, "degree %d" % cli.MAX_DEGREE, ["0"] * 10)
+    _write_pencil(f, "degree %d" % pencilfile.MAX_DEGREE, ["0"] * 10)
     code, captured = _pencil_exit(f, capsys)
-    assert code == 0 and captured.out.startswith("degree: %d\n" % cli.MAX_DEGREE)
+    assert code == 0 and captured.out.startswith("degree: %d\n" % pencilfile.MAX_DEGREE)
     # rejected from the header alone, before any entry or list is built
-    for degree, entry in [(cli.MAX_DEGREE + 1, "0"), (100000000, "l^100000000")]:
+    for degree, entry in [(pencilfile.MAX_DEGREE + 1, "0"), (100000000, "l^100000000")]:
         _write_pencil(f, "degree %d" % degree, [entry] + ["0"] * 9)
         code, captured = _pencil_exit(f, capsys)
         assert code == 2 and captured.out == ""
-        message = "error: degree %d is above the cap of %d\n" % (degree, cli.MAX_DEGREE)
+        message = "error: degree %d is above the cap of %d\n" % (degree, pencilfile.MAX_DEGREE)
         assert captured.err == message
 
 
@@ -551,12 +618,12 @@ def test_pencil_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
     # CPython converts at most 4300 digits by default
     digits = "1" * 5000
     f = tmp_path / "pencil.txt"
-    for header, entry in [("degree " + digits, "l"), ("degree 1", "l^" + digits),
-                          ("degree 1", digits + "*l"), ("degree 1", "1/" + digits + "*l")]:
+    for header, entry, length in [("degree " + digits, "l", 5000), ("degree 1", "l^" + digits, 5000),
+                                  ("degree 1", digits + "*l", 5000), ("degree 1", "1/" + digits + "*l", 5002)]:
         _write_pencil(f, header, [entry] + ["0"] * 9)
         code, captured = _pencil_exit(f, capsys)
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: number of ") and "is too long" in captured.err
+        assert captured.err == "error: number of %d characters is too long\n" % length
 
 
 def test_pencil_invalid_utf8_exits_2(tmp_path, capsys):
@@ -579,7 +646,7 @@ def test_pencil_overlong_file_is_rejected_before_it_is_read_whole(tmp_path, caps
 def test_pencil_non_ascii_digits_are_rejected(tmp_path, capsys):
     for entry in ("\u0663*l", "l^\u0663", "1/\u0663*l"):  # '٣' is an Arabic-Indic 3
         with pytest.raises(PencilParseError, match="cannot parse"):
-            cli.parse_form(entry, 1)
+            pencilfile.parse_form(entry, 1)
     f = tmp_path / "pencil.txt"
     _write_pencil(f, "degree 1", ["\u0663*l"] + ["0"] * 9)
     code, captured = _pencil_exit(f, capsys)
@@ -606,29 +673,27 @@ class _CountingPattern:
 
 
 def test_pencil_entry_term_cap(tmp_path, capsys, monkeypatch):
-    cap = cli.MAX_DEGREE + 1  # the monomials of a binary form of degree MAX_DEGREE
-    full = " + ".join("l^%d*m^%d" % (i, cli.MAX_DEGREE - i) for i in range(cap))
-    assert cli.parse_form(full, cli.MAX_DEGREE) == (1,) * cap
-    assert cli.parse_form("+".join(["0"] * cap), 0) == (0,)
+    cap = pencilfile.MAX_DEGREE + 1  # the monomials of a binary form of degree MAX_DEGREE
+    full = " + ".join("l^%d*m^%d" % (i, pencilfile.MAX_DEGREE - i) for i in range(cap))
+    assert pencilfile.parse_form(full, pencilfile.MAX_DEGREE) == (1,) * cap
+    assert pencilfile.parse_form("+".join(["0"] * cap), 0) == (0,)
     message = "entry has more than %d terms" % cap
     with pytest.raises(PencilParseError, match=message):
-        cli.parse_form("+".join(["0"] * (cap + 1)), 0)
+        pencilfile.parse_form("+".join(["0"] * (cap + 1)), 0)
     f = tmp_path / "pencil.txt"
-    _write_pencil(f, "degree %d" % cli.MAX_DEGREE, [full] + ["0"] * 9)
+    _write_pencil(f, "degree %d" % pencilfile.MAX_DEGREE, [full] + ["0"] * 9)
     code, captured = _pencil_exit(f, capsys)
-    assert code == 0 and captured.out.startswith("degree: %d\n" % cli.MAX_DEGREE)
+    assert code == 0 and captured.out.startswith("degree: %d\n" % pencilfile.MAX_DEGREE)
     # the 3,000,000-term entry of the CI step, rejected without echoing it
-    # after at most MAX_DEGREE + 2 term matches and one token scan of as many
-    # terms: counted by wrapping each pencil pattern
-    patterns = [_CountingPattern(p) for p in cli._pencil_patterns()]
-    monkeypatch.setattr(cli, "_pencil_patterns", lambda: patterns)
+    # after at most a sign and a number per term up to term MAX_DEGREE + 2:
+    # counted by wrapping the token pattern
+    token = _CountingPattern(pencilfile.TOKEN)
+    monkeypatch.setattr(pencilfile, "TOKEN", token)
     _write_pencil(f, "degree 1", ["+".join(["0"] * 3000000)] + ["0"] * 9)
     code, captured = _pencil_exit(f, capsys)
     assert code == 2 and captured.out == ""
     assert captured.err == "error: %s\n" % message
-    token, term, _, _ = patterns
-    assert 0 < term.calls <= cli.MAX_DEGREE + 2
-    assert 0 < token.calls <= 2 * (cli.MAX_DEGREE + 2)  # a sign and a number per term
+    assert 0 < token.calls <= 2 * (pencilfile.MAX_DEGREE + 2)
 
 
 # Pencil files drawn from the grammar's alphabet, plus Unicode digits and
@@ -661,7 +726,7 @@ def test_load_pencil_fuzz(tmp_path, data):
     f = tmp_path / "fuzz.txt"
     f.write_bytes(data)
     try:
-        cli.load_pencil(str(f))
+        pencilfile.load_pencil(str(f))
         accepted = True
     except PencilParseError:
         accepted = False

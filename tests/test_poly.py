@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from p1p3bundle.cli import MAX_DEGREE
+from p1p3bundle.pencilfile import MAX_DEGREE
 from p1p3bundle.errors import InvalidParameterError, SolverError
 from p1p3bundle.pencil import _signed_digits
 from p1p3bundle.poly import (
