@@ -67,19 +67,11 @@ class BundleSymbol:
 
 def line_bundle(c1):
     """Rank-1 symbol with the given first Chern class."""
-    if not c1.is_homogeneous(1):
-        raise DegreeMismatchError("c1 must be homogeneous of degree 1")
     return BundleSymbol(c1.ring, 1, [c1])
 
 
 def serre_bundle(det, locus):
     """Rank-2 symbol of a Serre-construction bundle: c1 = det, c2 = locus."""
-    if det.ring is not locus.ring:
-        raise RingMismatchError("det and locus must live in the same ring")
-    if not det.is_homogeneous(1):
-        raise DegreeMismatchError("det must have degree 1")
-    if not locus.is_homogeneous(2):
-        raise DegreeMismatchError("locus must have degree 2")
     return BundleSymbol(det.ring, 2, [det, locus])
 
 

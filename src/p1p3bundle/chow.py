@@ -100,8 +100,8 @@ class RingSpec:
 def _scalar(x):
     """x as a coefficient: an int or Fraction as it is, a ParamPoly as its
     number when it is constant; InvalidParameterError for anything else
-    (a float is not the rational it shows)."""
-    if isinstance(x, (int, Fraction)):
+    (a float is not the rational it shows, and a bool is no number)."""
+    if x.__class__ is int or x.__class__ is Fraction:
         return x
     if isinstance(x, ParamPoly):
         return x.terms.get(_ONE, 0) if x.terms.keys() <= {_ONE} else x

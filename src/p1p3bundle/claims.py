@@ -2,8 +2,11 @@
 
 Each claim bundles a stable id, a one-line description, a source anchor,
 and a deterministic check returning PASS/FAIL with computed-vs-expected
-strings.  Claims are pure and idempotent; the registry is keyed and run
-in sorted id order.  Building the registry imports no computation module:
+strings.  A claim is declared once, by decorating its check with
+`_claim(id, description, anchor, *args)`; a check that serves several
+claims carries one decorator per claim, each with the arguments it is run
+with.  Claims are pure and idempotent; the registry is keyed and run in
+sorted id order.  Building the registry imports no computation module:
 each check imports the modules it uses when it runs.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import UnknownClaimError
 
@@ -25,6 +29,21 @@ class Claim:
 
 ClaimResult = namedtuple("ClaimResult", "ok computed expected")
 
+REGISTRY = {}
+
+
+def _claim(claim_id, description, anchor, *args):
+    """Register the decorated check, run as check(*args), as claim `claim_id`
+    (ValueError if that id is taken); the check is returned unchanged."""
+
+    def register(check):
+        if claim_id in REGISTRY:
+            raise ValueError("duplicate claim id %r" % claim_id)
+        REGISTRY[claim_id] = Claim(claim_id, description, anchor, partial(check, *args))
+        return check
+
+    return register
+
 
 def _result(computed, expected):
     cs, es = str(computed), str(expected)
@@ -34,6 +53,7 @@ def _result(computed, expected):
 # -- individual checks -------------------------------------------------------
 
 
+@_claim("eq5", "chi(E(a,b)) from Riemann-Roch equals the cubic closed form", "Eq. (5)")
 def _check_eq5():
     from . import geometry
 
@@ -46,6 +66,7 @@ def _check_eq5():
     return _result(computed, expected)
 
 
+@_claim("intro-h1", "h^1(O(a,b)) = -(a+1) C(b+3,3) for a in [-6,-2], b in [0,5]", "Introduction")
 def _check_intro_h1():
     from . import cohom
 
@@ -73,6 +94,8 @@ def _line_chi():
     return chern.euler_characteristic(chern.line_bundle(line))
 
 
+@_claim("hrr-oracle", "Riemann-Roch chi of O(a,b) matches Kunneth tables on [-8,8]^2",
+        "Sec. 3 / Bott-Kunneth")
 def _check_hrr_oracle():
     from . import cohom
 
@@ -86,6 +109,7 @@ def _check_hrr_oracle():
     return _result("mismatches=%d of 289" % mismatches, "mismatches=0 of 289")
 
 
+@_claim("prop3.1", "stable for O(1,1) with threshold 7", "Prop. 3.1")
 def _check_prop31():
     from . import stability
 
@@ -98,6 +122,9 @@ def _check_prop31():
     )
 
 
+@_claim("remark3.3",
+        "stability region is exactly n < 18m for all m, n > 0, cross-checked on [1,40]^2",
+        "Remark 3.3")
 def _check_remark33():
     from . import stability
 
@@ -116,6 +143,8 @@ def _check_remark33():
     return _result("violations=%s" % bad[:3], "violations=[]")
 
 
+@_claim("prop2.2", "symmetry group has order 8, dihedral relations, abelianization (2,2)",
+        "Prop. 2.2")
 def _check_prop22():
     from . import heisenberg
 
@@ -128,6 +157,7 @@ def _check_prop22():
     return _result(computed, "order=8, relations=True, derived=2, ab=(2, 2)")
 
 
+@_claim("prop2.1", "tensor square 20, type (10,10), no element of order 4", "Prop. 2.1")
 def _check_prop21():
     from . import chern, chow, heisenberg
 
@@ -144,6 +174,10 @@ def _check_prop21():
     return _result(computed, "square=20, type=(10, 10), order4=False, (4,4)-order4=True")
 
 
+@_claim("prop5.3-e0", "double-structure solver: (x,y,d) = (2,-2,4) for e = 0", "Prop. 5.3",
+        0, (2, -2, 4))
+@_claim("prop5.3-e2", "double-structure solver: (x,y,d) = (2,0,4) for e = 2", "Prop. 5.3",
+        2, (2, 0, 4))
 def _check_prop53(e, expected):
     from . import geometry
 
@@ -155,6 +189,7 @@ def _check_prop53(e, expected):
     return _result(computed, "(x,y,d)=%s, residual=0" % (expected,))
 
 
+@_claim("lemma5.2", "embedding classification yields (0,1,1) and (2,1,2) only", "Lemma 5.2")
 def _check_lemma52():
     from . import geometry
 
@@ -166,12 +201,15 @@ def _check_lemma52():
     return _result(computed, expected)
 
 
+@_claim("prop5.4", "degree-4 line bundle cannot embed into the normal bundle, e = 2 obstructed",
+        "Prop. 5.4")
 def _check_prop54():
     from . import geometry
 
     return _result("obstructed=%s" % geometry.prop54_obstruction(), "obstructed=True")
 
 
+@_claim("lemma5.5", "multiplication maps of sections on P1 are surjective", "Lemma 5.5")
 def _check_lemma55():
     from . import geometry
 
@@ -184,6 +222,8 @@ def _check_lemma55():
     return _result("non-surjective=%s" % bad, "non-surjective=[]")
 
 
+@_claim("prop5.6", "(a,b)-normality for b >= 3 and (0,1); codimension bounds otherwise",
+        "Prop. 5.6 / Remark 5.7")
 def _check_prop56():
     from . import geometry
 
@@ -202,6 +242,7 @@ def _check_prop56():
     return _result(computed, "grid=[], (0,1)=True, (5,2)=bound 6, (3,0)=bound 6")
 
 
+@_claim("lemma3.4", "long exact sequence gives h^i(I_X) = (0,0,2,1,0)", "Lemma 3.4")
 def _check_lemma34():
     from . import cohom
 
@@ -224,10 +265,12 @@ def _h0_restricted():
     )[0]
 
 
+@_claim("prop4.1", "h^0(E_t(-2)) = 1 from the restriction sequence", "Prop. 4.1")
 def _check_prop41():
     return _result("h0=%s" % (_h0_restricted(),), "h0=1")
 
 
+@_claim("lemma4.2", "c2(E_t(-2)) = 2 and arithmetic genus -3 of X_t", "Lemma 4.2")
 def _check_lemma42():
     from . import chern, chow
 
@@ -245,6 +288,8 @@ def _check_lemma42():
     return _result(computed, "c1=0, c2=2, 2pa-2=-8, pa=-3")
 
 
+@_claim("lemma1.3-linear", "linear rank-2 normal form admits exactly 2 rank-1 quadrics",
+        "Lemma 1.3")
 def _check_lemma13_linear():
     from . import pencil
 
@@ -257,6 +302,8 @@ def _check_lemma13_linear():
     return _result(computed, "generic_rank=2, rank1_count=2, constant_line=True")
 
 
+@_claim("lemma1.4-family", "degree-4 witness: 4 rank-1 parameters, moving singular line",
+        "Lemma 1.4 / Sec. 1 (7)")
 def _check_lemma14_family():
     from . import pencil
 
@@ -270,6 +317,10 @@ def _check_lemma14_family():
     return _result(computed, "rank1_count=4, constant_line=False, ranks_at_roots=[1, 1, 1, 1]")
 
 
+@_claim("prop6.1b", "vertical generic splitting type (1,1)", "Prop. 6.1(b)",
+        (1, 0), {1: 1, 2: 0}, (1, 1))
+@_claim("prop6.2b", "splitting type (4,0) on a transversal jumping line", "Prop. 6.2(b)",
+        (0, 1), {4: 1, 5: 0}, (4, 0))
 def _splitting_claim(line, data, expected):
     """Splitting type on a line of P1xP3 given by `line`, the multiples of
     the line's point class h that h1 and h3 pull back to: (0, 1) on a
@@ -283,28 +334,22 @@ def _splitting_claim(line, data, expected):
     return _result("splitting=%s" % (got,), "splitting=%s" % (expected,))
 
 
+@_claim("prop6.1a", "horizontal generic splitting type (2,2)", "Prop. 6.1(a)")
 def _check_prop61a():
     return _splitting_claim((0, 1), {2: _h0_restricted(), 3: 0, 4: 0}, (2, 2))
 
 
-def _check_prop61b():
-    return _splitting_claim((1, 0), {1: 1, 2: 0}, (1, 1))
-
-
-def _check_prop62b():
-    return _splitting_claim((0, 1), {4: 1, 5: 0}, (4, 0))
-
-
+@_claim("lemma6.5-r1", "jumping divisor degree 4 with one kernel summand", "Lemma 6.5", 1)
+@_claim("lemma6.5-r2", "jumping divisor degree 4 with two kernel summands", "Lemma 6.5", 2)
+@_claim("lemma6.5-r3", "jumping divisor degree 4 with three kernel summands", "Lemma 6.5", 3)
 def _check_lemma65(r):
-    def run():
-        from . import geometry
+    from . import geometry
 
-        deg = geometry.jumping_divisor_degree(r)
-        return _result("deg D=%s" % (deg,), "deg D=4")
-
-    return run
+    deg = geometry.jumping_divisor_degree(r)
+    return _result("deg D=%s" % (deg,), "deg D=4")
 
 
+@_claim("serre-duality", "Serre duality table symmetry on [-8,8]^2", "Lemma 3.4 proof")
 def _check_serre_duality():
     from . import cohom
 
@@ -315,73 +360,6 @@ def _check_serre_duality():
         if not cohom.serre_dual_check(a, b)
     ]
     return _result("violations=%s" % bad[:3], "violations=[]")
-
-
-# -- the registry -------------------------------------------------------------
-
-
-def _registry():
-    claims = [
-        Claim("eq5", "chi(E(a,b)) from Riemann-Roch equals the cubic closed form",
-              "Eq. (5)", _check_eq5),
-        Claim("hrr-oracle", "Riemann-Roch chi of O(a,b) matches Kunneth tables on [-8,8]^2",
-              "Sec. 3 / Bott-Kunneth", _check_hrr_oracle),
-        Claim("intro-h1", "h^1(O(a,b)) = -(a+1) C(b+3,3) for a in [-6,-2], b in [0,5]",
-              "Introduction", _check_intro_h1),
-        Claim("lemma1.3-linear", "linear rank-2 normal form admits exactly 2 rank-1 quadrics",
-              "Lemma 1.3", _check_lemma13_linear),
-        Claim("lemma1.4-family", "degree-4 witness: 4 rank-1 parameters, moving singular line",
-              "Lemma 1.4 / Sec. 1 (7)", _check_lemma14_family),
-        Claim("lemma3.4", "long exact sequence gives h^i(I_X) = (0,0,2,1,0)",
-              "Lemma 3.4", _check_lemma34),
-        Claim("lemma4.2", "c2(E_t(-2)) = 2 and arithmetic genus -3 of X_t",
-              "Lemma 4.2", _check_lemma42),
-        Claim("lemma5.2", "embedding classification yields (0,1,1) and (2,1,2) only",
-              "Lemma 5.2", _check_lemma52),
-        Claim("lemma5.5", "multiplication maps of sections on P1 are surjective",
-              "Lemma 5.5", _check_lemma55),
-        Claim("lemma6.5-r1", "jumping divisor degree 4 with one kernel summand",
-              "Lemma 6.5", _check_lemma65(1)),
-        Claim("lemma6.5-r2", "jumping divisor degree 4 with two kernel summands",
-              "Lemma 6.5", _check_lemma65(2)),
-        Claim("lemma6.5-r3", "jumping divisor degree 4 with three kernel summands",
-              "Lemma 6.5", _check_lemma65(3)),
-        Claim("prop2.1", "tensor square 20, type (10,10), no element of order 4",
-              "Prop. 2.1", _check_prop21),
-        Claim("prop2.2", "symmetry group has order 8, dihedral relations, abelianization (2,2)",
-              "Prop. 2.2", _check_prop22),
-        Claim("prop3.1", "stable for O(1,1) with threshold 7",
-              "Prop. 3.1", _check_prop31),
-        Claim("prop4.1", "h^0(E_t(-2)) = 1 from the restriction sequence",
-              "Prop. 4.1", _check_prop41),
-        Claim("prop5.3-e0", "double-structure solver: (x,y,d) = (2,-2,4) for e = 0",
-              "Prop. 5.3", lambda: _check_prop53(0, (2, -2, 4))),
-        Claim("prop5.3-e2", "double-structure solver: (x,y,d) = (2,0,4) for e = 2",
-              "Prop. 5.3", lambda: _check_prop53(2, (2, 0, 4))),
-        Claim("prop5.4", "degree-4 line bundle cannot embed into the normal bundle, e = 2 obstructed",
-              "Prop. 5.4", _check_prop54),
-        Claim("prop5.6", "(a,b)-normality for b >= 3 and (0,1); codimension bounds otherwise",
-              "Prop. 5.6 / Remark 5.7", _check_prop56),
-        Claim("prop6.1a", "horizontal generic splitting type (2,2)",
-              "Prop. 6.1(a)", _check_prop61a),
-        Claim("prop6.1b", "vertical generic splitting type (1,1)",
-              "Prop. 6.1(b)", _check_prop61b),
-        Claim("prop6.2b", "splitting type (4,0) on a transversal jumping line",
-              "Prop. 6.2(b)", _check_prop62b),
-        Claim("remark3.3", "stability region is exactly n < 18m for all m, n > 0, cross-checked on [1,40]^2",
-              "Remark 3.3", _check_remark33),
-        Claim("serre-duality", "Serre duality table symmetry on [-8,8]^2",
-              "Lemma 3.4 proof", _check_serre_duality),
-    ]
-    out = {}
-    for c in claims:
-        if c.id in out:
-            raise ValueError("duplicate claim id %r" % c.id)
-        out[c.id] = c
-    return out
-
-
-REGISTRY = _registry()
 
 
 def all_ids():

@@ -110,6 +110,14 @@ def _calc_pencil_rank(path):
 
 # -- argument parsing -------------------------------------------------------------
 
+# calc command -> (help, type of its positionals, their names)
+_CALC_ARGS = {
+    "chi": ("chi(E(a,b))", int, "a b"),
+    "cohom": ("cohomology table of O(a,b)", int, "a b"),
+    "slope": ("O(a,b).O(m,n)^3", int, "m n a b"),
+    "pencil-rank": ("rank analysis of a pencil file", str, "file"),
+}
+
 
 @functools.lru_cache(maxsize=None)
 def build_parser():
@@ -130,24 +138,11 @@ def build_parser():
 
     calc = sub.add_parser("calc", help="exact calculators")
     calc_sub = calc.add_subparsers(dest="calc_command", required=True)
-
-    chi = calc_sub.add_parser("chi", help="chi(E(a,b))")
-    chi.add_argument("a", type=int)
-    chi.add_argument("b", type=int)
-
-    coh = calc_sub.add_parser("cohom", help="cohomology table of O(a,b)")
-    coh.add_argument("a", type=int)
-    coh.add_argument("b", type=int)
-
-    slope = calc_sub.add_parser("slope", help="O(a,b).O(m,n)^3")
-    slope.add_argument("m", type=int)
-    slope.add_argument("n", type=int)
-    slope.add_argument("a", type=int)
-    slope.add_argument("b", type=int)
-
-    pr = calc_sub.add_parser("pencil-rank", help="rank analysis of a pencil file")
-    pr.add_argument("file")
-
+    for name, (help_, kind, params) in _CALC_ARGS.items():
+        command = calc_sub.add_parser(name, help=help_)
+        for param in params.split():
+            command.add_argument(param, type=kind)
+        command.set_defaults(calc_parser=command)
     return parser
 
 
@@ -160,6 +155,12 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "calc":
+            _, kind, params = _CALC_ARGS[args.calc_command]
+            for param in params.split():
+                # CPython 3.11's argparse gives [] to a positional after a repeated '--'
+                if getattr(args, param).__class__ is not kind:
+                    args.calc_parser.error("argument %s: expected %s" % (param, kind.__name__))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize others
         return int(exc.code) if exc.code else 0

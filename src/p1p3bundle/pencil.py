@@ -27,6 +27,7 @@ Hodge dual of a row pair's minors).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import lcm
@@ -107,6 +108,9 @@ class QuadricPencil:
             raise InvalidParameterError("pencil entries must be nonempty tuples of one length")
         if any([rows[i][j] != rows[j][i] for i, j in PAIRS]):
             raise InvalidParameterError("pencil matrix must be symmetric")
+        # the ten entries the rank code reads; a float is not the rational it shows
+        if not {c.__class__ for i, j in UPPER for c in rows[i][j]} <= {int, Fraction}:
+            raise InvalidParameterError("a pencil coefficient must be an int or a Fraction")
         self.entries = rows
         self.degree = lengths.pop() - 1
 

@@ -53,7 +53,7 @@ class ParamPoly:
         self.terms = kept = {}
         for m, c in terms.items():
             if c.__class__ is not int:
-                if not isinstance(c, (int, Fraction)):  # a float is not the rational it shows
+                if c.__class__ is not Fraction:  # a float is not the rational it shows
                     raise InvalidParameterError("a coefficient must be an int or a Fraction: %r"
                                                 % (c,))
                 if c.denominator == 1:
@@ -182,8 +182,8 @@ class ParamPoly:
 
     def subs(self, assignment):
         """Substitute ints or Fractions for some variables (exact); any other
-        value, a float or a ParamPoly included, raises InvalidParameterError."""
-        if not all(isinstance(x, (int, Fraction)) for x in assignment.values()):
+        value (a float, a bool, a ParamPoly) raises InvalidParameterError."""
+        if not all(x.__class__ is int or x.__class__ is Fraction for x in assignment.values()):
             raise InvalidParameterError("values must be ints or Fractions: %r" % (assignment,))
         terms = {}
         for mono, coeff in self.terms.items():
@@ -393,7 +393,7 @@ def _int_rank(rows):
 
 
 def _fraction(x):
-    if not isinstance(x, (int, Fraction)):  # a float is not the rational it shows
+    if x.__class__ is not int and x.__class__ is not Fraction:  # no float, no bool
         raise InvalidParameterError("expected an int or a Fraction, got %r" % (x,))
     return Fraction(x)
 
@@ -403,7 +403,7 @@ def rref(rows):
 
     Entries may be ints or Fractions; each is made a Fraction once on entry
     (with int entries `/` would give floats), so the rows returned hold
-    Fractions.  Anything else, a float included, raises
+    Fractions.  Anything else, a float or a bool included, raises
     InvalidParameterError.
     """
     m = [[_fraction(x) for x in r] for r in rows]

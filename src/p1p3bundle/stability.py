@@ -3,12 +3,12 @@
 The slope L.H^3 = n^2 (u a n + v b m) of L = O(a, b) with respect to
 H = O(m, n) is read off the Chow ring once as the int pair (u, v), and
 stability is the sign of one integer linear form per destabilizer corner,
-also read off once, with det E read off c1(E); a query then runs on ints
-alone.  The
-subsheaf-existence oracle is deliberately three-valued: the vanishing facts
-and the shipped positive instances are all the argument needs, and pairs
-the source material does not decide stay "unknown".  Only a corner the
-oracle answers 'yes' for witnesses a destabilizing subsheaf.
+which follows from (u, v) and det E, read off c1(E); a query then runs on
+ints alone.  The subsheaf-existence oracle is deliberately three-valued:
+the vanishing facts and the shipped positive instances are all the
+argument needs, and pairs the source material does not decide stay
+"unknown".  Only a corner the oracle answers 'yes' for witnesses a
+destabilizing subsheaf.
 """
 
 from __future__ import annotations
@@ -138,20 +138,14 @@ def destabilizer_corners():
 
 @lru_cache(maxsize=None)
 def gap_forms():
-    """(u, v, witnessed) for each destabilizer corner c, with 2 slope(c) -
-    slope(det E) = n^2 (u n + v m), and witnessed when the oracle answers
-    'yes' for c; InconsistentError unless that holds with int u, v."""
-    m, n = ParamPoly.var("m"), ParamPoly.var("n")
+    """(u, v, witnessed) for each destabilizer corner c = (a, b), with 2
+    slope(c) - slope(det E) = n^2 (u n + v m), and witnessed when the oracle
+    answers 'yes' for c.  The slope is linear in the line, so (u, v) is
+    (u0 (2a - P), v0 (2b - Q)) for the slope form (u0, v0) and det E = O(P, Q)."""
+    u0, v0 = _slope_form()
     P, Q = _det()
-    det = _slope_poly().subs({"a": P, "b": Q})
-    forms = []
-    for a, b in destabilizer_corners():
-        gap = 2 * _slope_poly().subs({"a": a, "b": b}) - det
-        u, v = gap.coefficient((("n", 3),)), gap.coefficient((("m", 1), ("n", 2)))
-        if gap != n * n * (u * n + v * m) or u.denominator != 1 or v.denominator != 1:
-            raise InconsistentError("slope gap %s at %s is not n^2 (u n + v m)" % (gap, (a, b)))
-        forms.append((int(u), int(v), subsheaf_status(P - a, Q - b) == "yes"))
-    return tuple(forms)
+    return tuple((u0 * (2 * a - P), v0 * (2 * b - Q), subsheaf_status(P - a, Q - b) == "yes")
+                 for a, b in destabilizer_corners())
 
 
 def stability_decide(pol):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p1p3bundle import chow
+from p1p3bundle import chern, chow
 from p1p3bundle.errors import DegreeMismatchError, InvalidParameterError, RingMismatchError
 from p1p3bundle.poly import ParamPoly
 
@@ -183,7 +183,10 @@ def test_floats_are_rejected_where_a_coefficient_enters():
     entries = [lambda: ParamPoly.const(0.1), lambda: ParamPoly.const("1/2"),
                lambda: ring.cls({"h1": 0.5}), lambda: ring.cls({"h1": "1/2"}),
                lambda: 0.5 * h1, lambda: h1 * 0.5, lambda: h1 + 0.5, lambda: 0.5 + h1,
-               lambda: h1 - 0.5, lambda: 0.5 - h1]
+               lambda: h1 - 0.5, lambda: 0.5 - h1,
+               # a bool is no number either
+               lambda: ring.cls({"h1": True}), lambda: True * h1, lambda: h1 + True,
+               lambda: h1 - False, lambda: chern.BundleSymbol(chow.p3(), True)]
     for entry in entries:
         with pytest.raises(InvalidParameterError):
             entry()

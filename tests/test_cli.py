@@ -91,10 +91,47 @@ def test_verify_json_sorted_by_id(capsys):
     assert len(ids) >= 15
 
 
+_LIST = """\
+eq5              chi(E(a,b)) from Riemann-Roch equals the cubic closed form  [Eq. (5)]
+hrr-oracle       Riemann-Roch chi of O(a,b) matches Kunneth tables on [-8,8]^2  [Sec. 3 / Bott-Kunneth]
+intro-h1         h^1(O(a,b)) = -(a+1) C(b+3,3) for a in [-6,-2], b in [0,5]  [Introduction]
+lemma1.3-linear  linear rank-2 normal form admits exactly 2 rank-1 quadrics  [Lemma 1.3]
+lemma1.4-family  degree-4 witness: 4 rank-1 parameters, moving singular line  [Lemma 1.4 / Sec. 1 (7)]
+lemma3.4         long exact sequence gives h^i(I_X) = (0,0,2,1,0)  [Lemma 3.4]
+lemma4.2         c2(E_t(-2)) = 2 and arithmetic genus -3 of X_t  [Lemma 4.2]
+lemma5.2         embedding classification yields (0,1,1) and (2,1,2) only  [Lemma 5.2]
+lemma5.5         multiplication maps of sections on P1 are surjective  [Lemma 5.5]
+lemma6.5-r1      jumping divisor degree 4 with one kernel summand  [Lemma 6.5]
+lemma6.5-r2      jumping divisor degree 4 with two kernel summands  [Lemma 6.5]
+lemma6.5-r3      jumping divisor degree 4 with three kernel summands  [Lemma 6.5]
+prop2.1          tensor square 20, type (10,10), no element of order 4  [Prop. 2.1]
+prop2.2          symmetry group has order 8, dihedral relations, abelianization (2,2)  [Prop. 2.2]
+prop3.1          stable for O(1,1) with threshold 7  [Prop. 3.1]
+prop4.1          h^0(E_t(-2)) = 1 from the restriction sequence  [Prop. 4.1]
+prop5.3-e0       double-structure solver: (x,y,d) = (2,-2,4) for e = 0  [Prop. 5.3]
+prop5.3-e2       double-structure solver: (x,y,d) = (2,0,4) for e = 2  [Prop. 5.3]
+prop5.4          degree-4 line bundle cannot embed into the normal bundle, e = 2 obstructed  [Prop. 5.4]
+prop5.6          (a,b)-normality for b >= 3 and (0,1); codimension bounds otherwise  [Prop. 5.6 / Remark 5.7]
+prop6.1a         horizontal generic splitting type (2,2)  [Prop. 6.1(a)]
+prop6.1b         vertical generic splitting type (1,1)  [Prop. 6.1(b)]
+prop6.2b         splitting type (4,0) on a transversal jumping line  [Prop. 6.2(b)]
+remark3.3        stability region is exactly n < 18m for all m, n > 0, cross-checked on [1,40]^2  [Remark 3.3]
+serre-duality    Serre duality table symmetry on [-8,8]^2  [Lemma 3.4 proof]
+"""
+
+
 def test_list_command(capsys):
+    # every id, description and anchor, as the checker has always listed them
     assert cli.main(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "eq5" in out and "prop5.3-e0" in out
+    assert capsys.readouterr().out == _LIST
+
+
+def test_a_claim_id_is_registered_once(monkeypatch):
+    monkeypatch.setattr(claims, "REGISTRY", dict(claims.REGISTRY))
+    with pytest.raises(ValueError, match="duplicate claim id 'eq5'"):
+        claims._claim("eq5", "again", "Eq. (5)")(lambda: None)
+    claims._claim("new", "a check run with its arguments", "nowhere", 2, 3)(lambda x, y: x * y)
+    assert claims.get_claim("new").check() == 6
 
 
 def test_calc_chi(capsys):
@@ -575,6 +612,8 @@ def _argvs(draw):
 @example(["calc", "chi", "1", _NINES[1]])
 @example(["calc", "cohom", "--", "1", "-" + _NINES[1]])
 @example(["calc", "slope", "1", _NINES[1], "1", "1"])
+@example(["calc", "slope", "-40", "--", "--", "-33", "25"])
+@example(["calc", "chi", "1", "--", "--"])
 def test_main_fuzz_exits_0_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -583,6 +622,17 @@ def test_main_fuzz_exits_0_or_2(argv):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["calc", "slope", "-40", "--", "--", "-33", "25"],
+                                  ["calc", "chi", "1", "--", "--"]])
+def test_a_repeated_double_dash_is_a_usage_error(argv, capsys):
+    # CPython 3.11's argparse hands the positional after the second '--' an
+    # empty list, which no `type` converter has seen
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: p1p3bundle calc %s [-h] " % argv[1]), captured.err
 
 
 def _pencil_exit(path, capsys):

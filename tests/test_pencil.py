@@ -71,6 +71,16 @@ def test_matrix_validation():
         QuadricPencil([[(0,)] * 4 for _ in range(3)])
 
 
+def test_pencil_coefficients_are_ints_or_fractions():
+    # 0.1 would read as 3602879701896397/2^55, and a str would fail only at
+    # the first rank query
+    for bad in (0.1, "1", True):
+        with pytest.raises(InvalidParameterError, match="an int or a Fraction"):
+            QuadricPencil.rank2_normal_form(bad, 1, 3)
+    p = QuadricPencil.rank2_normal_form(Fraction(1, 10), 1, 3)
+    assert (p.generic_rank(), p.rank1_parameter_count()) == (2, 2)
+
+
 def test_zero_pencil():
     p = QuadricPencil([[(0, 0, 0)] * 4 for _ in range(4)])
     assert p.degree == 2
@@ -92,7 +102,7 @@ def test_rank_at_validates_point():
     with pytest.raises(InvalidParameterError):
         p.rank_at(0, 0)
     # the binary float 0.1 is not 1/10
-    for l0, m0 in [(0.1, 1), (1, 0.5), (0.0, 0.0), ("1/2", 1)]:
+    for l0, m0 in [(0.1, 1), (1, 0.5), (0.0, 0.0), ("1/2", 1), (True, 1)]:
         with pytest.raises(InvalidParameterError, match="expected an int or a Fraction"):
             p.rank_at(l0, m0)
     assert p.rank_at(Fraction(1, 10), 1) == p.rank_at(1, 10)

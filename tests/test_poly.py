@@ -211,7 +211,10 @@ def test_floats_are_rejected():
     for entry in (lambda: ParamPoly.const(0.5), lambda: ParamPoly.const(0.0),
                   lambda: ParamPoly({(): 0.5}), lambda: ParamPoly({(): "1/2"}),
                   lambda: a.subs({"a": 0.5}), lambda: a.value({"a": 0.5}),
-                  lambda: rref([[1, 0.5]])):
+                  lambda: rref([[1, 0.5]]),
+                  # a bool is no number either
+                  lambda: ParamPoly.const(True), lambda: ParamPoly({(): False}),
+                  lambda: a.subs({"a": True}), lambda: rref([[1, True]])):
         with pytest.raises(InvalidParameterError):
             entry()
     for entry in (lambda: a + 0.5, lambda: 0.5 - a, lambda: a * 0.5, lambda: 0.5 * a):

@@ -186,11 +186,13 @@ def test_gap_forms_reject_a_gap_that_is_not_an_integer_linear_form(monkeypatch, 
     a, b, m, n = (ParamPoly.var(x) for x in "abmn")
     monkeypatch.setattr(stability, "_slope_poly", lambda: slope(a, b, m, n))
     stability.gap_forms.cache_clear()
+    stability._slope_form.cache_clear()
     try:
         with pytest.raises(InconsistentError):
             stability.gap_forms()
     finally:
         stability.gap_forms.cache_clear()
+        stability._slope_form.cache_clear()
 
 
 @pytest.mark.parametrize("slope", _WRONG_SLOPES + [
