@@ -182,7 +182,7 @@ class GradedClass:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if n.__class__ is not int or n < 0:
             raise InvalidParameterError("exponent must be a nonnegative int")
         result = self.ring.one()
         for _ in range(n):
@@ -191,7 +191,7 @@ class GradedClass:
 
     def __eq__(self, other):
         if not isinstance(other, GradedClass):
-            if not isinstance(other, (int, Fraction, ParamPoly)):
+            if other.__class__ not in (int, Fraction, ParamPoly):  # a bool is no number
                 return NotImplemented
             other = GradedClass(self.ring, {self.ring.unit: other})
         return self.ring is other.ring and self.coeffs == other.coeffs
@@ -271,7 +271,7 @@ def p1xp1():
 def sigma(e):
     """Hirzebruch surface Sigma_e: basis {1, C0, f, pt} with C0^2 = -e pt,
     C0.f = pt, f^2 = 0."""
-    if not isinstance(e, int) or e < 0:
+    if e.__class__ is not int or e < 0:
         raise InvalidParameterError("Hirzebruch invariant e must be a nonnegative integer")
     ring = RingSpec("Sigma(%d)" % e, ("C0", "f"), (1, 1), {0: {(1, 1): -e}}, {(1, 1): "pt"})
     c0, f = ring.gen("C0"), ring.gen("f")

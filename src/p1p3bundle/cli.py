@@ -110,12 +110,13 @@ def _calc_pencil_rank(path):
 
 # -- argument parsing -------------------------------------------------------------
 
-# calc command -> (help, type of its positionals, their names)
+# calc command -> (help, type of its positionals, their names, the calculator
+# called with them in that order)
 _CALC_ARGS = {
-    "chi": ("chi(E(a,b))", int, "a b"),
-    "cohom": ("cohomology table of O(a,b)", int, "a b"),
-    "slope": ("O(a,b).O(m,n)^3", int, "m n a b"),
-    "pencil-rank": ("rank analysis of a pencil file", str, "file"),
+    "chi": ("chi(E(a,b))", int, "a b", _calc_chi),
+    "cohom": ("cohomology table of O(a,b)", int, "a b", _calc_cohom),
+    "slope": ("O(a,b).O(m,n)^3", int, "m n a b", _calc_slope),
+    "pencil-rank": ("rank analysis of a pencil file", str, "file", _calc_pencil_rank),
 }
 
 
@@ -138,7 +139,7 @@ def build_parser():
 
     calc = sub.add_parser("calc", help="exact calculators")
     calc_sub = calc.add_subparsers(dest="calc_command", required=True)
-    for name, (help_, kind, params) in _CALC_ARGS.items():
+    for name, (help_, kind, params, _) in _CALC_ARGS.items():
         command = calc_sub.add_parser(name, help=help_)
         for param in params.split():
             command.add_argument(param, type=kind)
@@ -156,10 +157,11 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.command == "calc":
-            _, kind, params = _CALC_ARGS[args.calc_command]
-            for param in params.split():
+            _, kind, params, calc = _CALC_ARGS[args.calc_command]
+            values = [getattr(args, param) for param in params.split()]
+            for param, value in zip(params.split(), values):
                 # CPython 3.11's argparse gives [] to a positional after a repeated '--'
-                if getattr(args, param).__class__ is not kind:
+                if value.__class__ is not kind:
                     args.calc_parser.error("argument %s: expected %s" % (param, kind.__name__))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize others
@@ -174,14 +176,8 @@ def main(argv=None):
             status, text = _run_verify(ids, args.json)
         elif args.command == "list":
             text = _run_list()
-        elif args.calc_command == "chi":
-            answer = _calc_chi(args.a, args.b)
-        elif args.calc_command == "cohom":
-            answer = _calc_cohom(args.a, args.b)
-        elif args.calc_command == "slope":
-            answer = _calc_slope(args.m, args.n, args.a, args.b)
         else:
-            answer = _calc_pencil_rank(args.file)
+            answer = calc(*values)
     except ArtifactError as exc:
         return _error(exc)
     if args.command == "calc":

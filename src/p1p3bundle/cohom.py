@@ -130,23 +130,6 @@ class MapRankHint(namedtuple("MapRankHint", "kind index rank")):
     __slots__ = ()
 
 
-class LesProblem(namedtuple("LesProblem", "a b c hints")):
-    """0 -> A -> B -> C -> 0 with exactly one slot unknown (None)."""
-
-    __slots__ = ()
-
-    def __new__(cls, a, b, c, hints=()):
-        if sum(x is None for x in (a, b, c)) != 1:
-            raise InvalidParameterError("exactly one slot must be unknown")
-        if len({len(t) for t in (a, b, c) if t is not None}) != 1:
-            raise InvalidParameterError("the known tables must have the same length")
-        return super().__new__(cls, a, b, c, hints)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
-
-
 # All feasible tables when the sequence does not pin a unique answer.
 Underdetermined = namedtuple("Underdetermined", "tables")
 
@@ -155,8 +138,10 @@ def _minus(x, y):
     return None if x is None or y is None else x - y
 
 
-def les_solve(problem):
-    """Solve for the unknown slot of a short exact sheaf sequence.
+def les_solve(a, b, c, hints=()):
+    """Solve for the unknown slot of 0 -> A -> B -> C -> 0, given the tables
+    a, b, c with exactly one None and MapRankHints `hints`.  Known tables of
+    different lengths raise InvalidParameterError, as two unknowns do.
 
     Every choice of the connecting ranks e_i within their bounds gives one
     candidate table from the exactness relation; a candidate is feasible
@@ -166,12 +151,17 @@ def les_solve(problem):
     listing every feasible table.  Raises InconsistentError when there is
     none.
     """
-    slots = [problem.a, problem.b, problem.c]
+    slots = [a, b, c]
+    if slots.count(None) != 1:
+        raise InvalidParameterError("exactly one slot must be unknown")
+    lengths = {len(t) for t in slots if t is not None}
+    if len(lengths) != 1:
+        raise InvalidParameterError("the known tables must have the same length")
+    (n,) = lengths
     k = slots.index(None)
-    n = max(len(t) for t in slots if t is not None)
     slots[k] = (None,) * n
     A, _, C = slots
-    for h in problem.hints:
+    for h in hints:
         if h.kind not in ("A->B", "B->C", "connecting") or not 0 <= h.index < n:
             raise InvalidParameterError("no map %r at index %r" % (h.kind, h.index))
 
@@ -196,7 +186,7 @@ def les_solve(problem):
         values = table + [r for rs in ranks for r in rs.values()]
         if any(v is not None and v < 0 for v in values):
             continue
-        if all(ranks[h.index][h.kind] in (None, h.rank) for h in problem.hints):
+        if all(ranks[h.index][h.kind] in (None, h.rank) for h in hints):
             solutions.add(tuple(table))
 
     if not solutions:

@@ -136,7 +136,7 @@ def prop54_obstruction():
     ring = chow.sigma(2)
     c0, f = ring.gen("C0"), ring.gen("f")
     ideal_class = sol.x * c0 + sol.y * f
-    restricted_degree = int(chow.degree(-(ideal_class * c0)).constant())
+    restricted_degree = chow.degree(-(ideal_class * c0)).constant()
     candidates = [(0, 2), (1, 1)]
     return restricted_degree == 4 and not any(
         subbundle_embeds(restricted_degree, c) for c in candidates

@@ -1,4 +1,4 @@
-"""Finite matrix-group generation and finite abelian group arithmetic.
+"""Finite matrix-group generation and the structure of finite abelian groups.
 
 The symmetry group of the embedded surface is generated by an explicit
 pair of integer matrices in GL_2 x GL_4.  One breadth-first orbit routine,
@@ -8,15 +8,17 @@ orbit of 1 under x -> x*g) and the commutator subgroup (the normal closure
 of the generator commutators).  The abelianization is one coset quotient
 whose invariants split off the largest cyclic orbit and recurse.
 Element identity is exact matrix equality (not projective): the scalar -1
-shows up as the commutator and must be counted.  The polarization kernels
-of Prop. 2.1 are finite abelian groups read from a self-intersection
-number, which the caller computes in the Chow ring (`chow`).
+shows up as the commutator and must be counted.  A finite abelian group
+is given by its invariant factors d1 | d2 | ..., a tuple of ints with no
+1s; the polarization kernels of Prop. 2.1 are such tuples, read from a
+self-intersection number, which the caller computes in the Chow ring
+(`chow`).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, prod
+from math import lcm
 
 from .errors import CapExceededError, InvalidParameterError
 
@@ -119,7 +121,7 @@ def commutator_structure(group):
     derived = _orbit(IDENTITY_PAIR, moves, group.order)
     quotient_elems, quotient_mul, quotient_id = _quotient(group.elements, pair_mul, derived)
     invariants = _abelian_invariants(quotient_elems, quotient_mul, quotient_id)
-    return len(derived), FinAbGroup(invariants)
+    return len(derived), invariants
 
 
 def _quotient(elems, mul, subgroup):
@@ -149,57 +151,21 @@ def _abelian_invariants(elems, mul, identity):
     return _abelian_invariants(sub_elems, sub_mul, sub_id) + (len(cyclic),)
 
 
-# -- finite abelian groups ------------------------------------------------------
-
-
-class FinAbGroup:
-    """Finite abelian group given by cyclic invariants d1 | d2 | ... ."""
-
-    def __init__(self, invariants):
-        ds = tuple(invariants)
-        # ints and Fractions have a denominator, floats do not: int(4.9) would be 4
-        if not all(getattr(d, "denominator", 0) == 1 and d > 0 for d in ds):
-            raise InvalidParameterError("cyclic invariants must be positive integers: %s" % (ds,))
-        ds = [int(d) for d in ds]
-        # Smith-style normalization in one pass: after step i, d_i divides
-        # every later entry, and later (gcd, lcm) replacements keep that.
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                g = gcd(ds[i], ds[j])
-                ds[i], ds[j] = g, ds[i] * ds[j] // g
-        self.invariants = tuple(d for d in ds if d > 1)
-
-    @property
-    def order(self):
-        return prod(self.invariants)
-
-    @property
-    def exponent(self):
-        return self.invariants[-1] if self.invariants else 1
-
-    def __eq__(self, other):
-        # not equal to a tuple: (4, 2) and (2, 4) give one group but hash apart
-        if isinstance(other, FinAbGroup):
-            return self.invariants == other.invariants
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.invariants)
-
-    def __repr__(self):
-        return "FinAbGroup%s" % (self.invariants,)
+# -- polarization kernels ------------------------------------------------------
 
 
 def type_from_square(sq):
-    """K-group of a type-(1, d) polarization with self-intersection 2d."""
+    """Invariant factors (d, d) of the K-group of a type-(1, d) polarization
+    with self-intersection 2d (() when d = 1)."""
     if sq <= 0 or sq % 2:
         raise InvalidParameterError("self-intersection must be a positive even integer")
     d = sq // 2
-    return FinAbGroup((d, d))
+    return (d, d) if d > 1 else ()
 
 
-def has_element_of_order(group, k):
-    """True iff k divides the exponent of the group."""
+def has_element_of_order(invariants, k):
+    """True iff the group with these invariant factors has an element of
+    order k, that is iff k divides their lcm (the exponent)."""
     if k < 1:
         raise InvalidParameterError("order must be >= 1")
-    return group.exponent % k == 0
+    return lcm(*invariants) % k == 0

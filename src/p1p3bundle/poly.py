@@ -34,6 +34,12 @@ def _mono_degree(mono):
     return sum(e for _, e in mono)
 
 
+def _require_numbers(assignment):
+    """InvalidParameterError unless every value is an int or a Fraction."""
+    if not all(x.__class__ is int or x.__class__ is Fraction for x in assignment.values()):
+        raise InvalidParameterError("values must be ints or Fractions: %r" % (assignment,))
+
+
 class ParamPoly:
     """Sparse polynomial with rational coefficients in named variables.
 
@@ -41,8 +47,9 @@ class ParamPoly:
     coefficients; an integral coefficient is stored as an `int` (a
     `Fraction` with denominator 1 becomes its numerator), any other as a
     `Fraction`, so the arithmetic stays in ints wherever it can.  The
-    accessors `constant` and `coefficient` return Fractions (`value`
-    returns the number as it sums, an int on integer points).
+    accessors `constant` and `coefficient` return the number held, an int
+    where it is integral (`value` returns the number as it sums, an int on
+    integer points).
     The canonical term order (used for serialization) is graded
     lexicographic over alphabetically sorted variable names.
     """
@@ -96,13 +103,14 @@ class ParamPoly:
         return bool(self.terms)
 
     def is_constant(self):
-        return self.terms.keys() <= {_ONE}
+        return len(self.terms) <= (_ONE in self.terms)
 
     def constant(self):
-        """The value of a constant polynomial, as a Fraction."""
+        """The value of a constant polynomial: an int, or a Fraction where it
+        is not integral."""
         if not self.is_constant():
             raise InvalidParameterError("polynomial is not constant: %s" % self)
-        return Fraction(self.terms.get(_ONE, 0))
+        return self.terms.get(_ONE, 0)
 
     def variables(self):
         return sorted({v for m in self.terms for v, _ in m})
@@ -113,7 +121,7 @@ class ParamPoly:
         return max(_mono_degree(m) for m in self.terms)
 
     def coefficient(self, mono):
-        return Fraction(self.terms.get(tuple(sorted(mono)), 0))
+        return self.terms.get(tuple(sorted(mono)), 0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -141,7 +149,7 @@ class ParamPoly:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # a number scales each coefficient
+        if other.__class__ is int or other.__class__ is Fraction:  # scales each coefficient
             return ParamPoly({m: c * other for m, c in self.terms.items()})
         other = ParamPoly._coerce(other)
         if other is NotImplemented:
@@ -156,7 +164,7 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if n.__class__ is not int or n < 0:
             raise InvalidParameterError("exponent must be a nonnegative int")
         result = ParamPoly.const(1)
         base = self
@@ -183,8 +191,7 @@ class ParamPoly:
     def subs(self, assignment):
         """Substitute ints or Fractions for some variables (exact); any other
         value (a float, a bool, a ParamPoly) raises InvalidParameterError."""
-        if not all(x.__class__ is int or x.__class__ is Fraction for x in assignment.values()):
-            raise InvalidParameterError("values must be ints or Fractions: %r" % (assignment,))
+        _require_numbers(assignment)
         terms = {}
         for mono, coeff in self.terms.items():
             for v, e in mono:
@@ -196,20 +203,20 @@ class ParamPoly:
 
     def value(self, assignment):
         """The value at a full point of ints and Fractions: an int or a Fraction.
+        Any other value raises InvalidParameterError, as in `subs`.
 
         The powers of a monomial are multiplied first, so that on integer
         points the sum stays in ints and only a term whose coefficient has
         a denominator costs a Fraction product.
         """
+        _require_numbers(assignment)
         total = 0
         for mono, coeff in self.terms.items():
             v = 1
             for name, e in mono:
                 v *= assignment[name] ** e
             total += coeff * v
-        if total.__class__ is int or isinstance(total, Fraction):
-            return total
-        raise InvalidParameterError("a point must have int or Fraction values: %r" % (assignment,))
+        return total
 
     def collect(self, on_vars):
         """Group terms by their monomial in `on_vars`.

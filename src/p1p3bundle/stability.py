@@ -63,9 +63,9 @@ def _slope_form():
     u = slope.coefficient((("a", 1), ("n", 3)))
     v = slope.coefficient((("b", 1), ("m", 1), ("n", 2)))
     a, b, m, n = (ParamPoly.var(x) for x in "abmn")
-    if slope != n * n * (u * a * n + v * b * m) or u.denominator != 1 or v.denominator != 1:
+    if slope != n * n * (u * a * n + v * b * m) or not u.__class__ is v.__class__ is int:
         raise InconsistentError("slope %s is not u a n^3 + v b m n^2 with int u, v" % slope)
-    return int(u), int(v)
+    return u, v
 
 
 def slope_dot(line, pol):
@@ -106,7 +106,7 @@ def _det():
     from . import chern
 
     c1 = chern.abelian_surface_bundle().c1
-    P, Q = (c1.coeff(g).value({}) for g in ("h1", "h3"))
+    P, Q = (c1.coeff(g).constant() for g in ("h1", "h3"))
     require_ints(P, Q)
     return P, Q
 

@@ -186,11 +186,13 @@ def test_floats_are_rejected_where_a_coefficient_enters():
                lambda: h1 - 0.5, lambda: 0.5 - h1,
                # a bool is no number either
                lambda: ring.cls({"h1": True}), lambda: True * h1, lambda: h1 + True,
-               lambda: h1 - False, lambda: chern.BundleSymbol(chow.p3(), True)]
+               lambda: h1 - False, lambda: chern.BundleSymbol(chow.p3(), True),
+               lambda: h1 ** True, lambda: chow.sigma(True)]
     for entry in entries:
         with pytest.raises(InvalidParameterError):
             entry()
     assert h1 != 0.5 and ring.one() != 1.0  # a float is never a coefficient, so never equal
+    assert ring.one() != True and not ring.one() == True  # nor is a bool
 
 
 def test_pullback_rejects_images_that_do_not_fit():

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -548,6 +549,24 @@ def test_computation_modules_do_not_load_dataclasses():
 
 def test_importing_cli_loads_no_fractions():
     assert _modules_loaded_by("import p1p3bundle.cli", "fractions") == set()
+
+
+def test_every_module_level_import_is_used():
+    # no linter is installed, so the package's own check: each name that a
+    # module imports at its top level is read somewhere in that module
+    unused = []
+    for path in sorted(Path(p1p3bundle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += ["%s:%d %s" % (path.name, node.lineno, n) for n in names if n not in read]
+    assert unused == []
 
 
 def test_usage_error_exits_2():

@@ -107,72 +107,60 @@ def test_cohom_table_validation():
 def test_records_are_read_only():
     t = cohom.CohomTable((1, 0))
     hint = cohom.MapRankHint("B->C", 0, 1)
-    problem = cohom.LesProblem(a=None, b=t, c=t, hints=(hint,))
-    records = [(t, "dims"), (hint, "rank"), (problem, "a"), (cohom.Underdetermined(()), "tables")]
+    records = [(t, "dims"), (hint, "rank"), (cohom.Underdetermined(()), "tables")]
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
-    with pytest.raises(InvalidParameterError, match="exactly one slot"):
-        problem._replace(a=t)
-    assert problem._replace(hints=()) == cohom.LesProblem(None, t, t)
 
 
 def test_les_ideal_sheaf_of_abelian_surface():
-    problem = cohom.LesProblem(
+    solved = cohom.les_solve(
         a=None,
         b=cohom.CohomTable((1, 0, 0, 0, 0)),
         c=cohom.ABELIAN_SURFACE_TABLE,
         hints=(cohom.MapRankHint("B->C", 0, 1),),
     )
-    assert cohom.les_solve(problem) == (0, 0, 2, 1, 0)
+    assert solved == (0, 0, 2, 1, 0)
 
 
 def test_les_without_hint_is_underdetermined():
-    problem = cohom.LesProblem(
+    result = cohom.les_solve(
         a=None,
         b=cohom.CohomTable((1, 0, 0, 0, 0)),
         c=cohom.ABELIAN_SURFACE_TABLE,
     )
-    result = cohom.les_solve(problem)
     assert isinstance(result, cohom.Underdetermined)
     assert (0, 0, 2, 1, 0) in result.tables
 
 
 def test_les_partial_table():
-    problem = cohom.LesProblem(
+    solved = cohom.les_solve(
         a=cohom.CohomTable((0, 0, 0, 0)),
         b=None,
         c=(1, None, None, None),
     )
-    solved = cohom.les_solve(problem)
     assert solved[0] == 1
 
 
 def test_les_trivial_zero_sequence():
     zero = cohom.CohomTable((0, 0, 0))
-    problem = cohom.LesProblem(a=zero, b=None, c=zero)
-    assert cohom.les_solve(problem) == (0, 0, 0)
+    assert cohom.les_solve(a=zero, b=None, c=zero) == (0, 0, 0)
 
 
 def test_les_inconsistent():
     # h^0(A) = 2 cannot inject into h^0(B) = 0 with nowhere to escape
-    bad = cohom.LesProblem(
-        a=cohom.CohomTable((2, 0)),
-        b=cohom.CohomTable((0, 0)),
-        c=None,
-    )
     with pytest.raises(InconsistentError):
-        cohom.les_solve(bad)
+        cohom.les_solve(a=cohom.CohomTable((2, 0)), b=cohom.CohomTable((0, 0)), c=None)
 
 
 def test_les_solution_properties():
     # chi additivity and subadditivity on the solved ideal-sheaf table
-    a = cohom.les_solve(cohom.LesProblem(
+    a = cohom.les_solve(
         a=None,
         b=cohom.CohomTable((1, 0, 0, 0, 0)),
         c=cohom.ABELIAN_SURFACE_TABLE,
         hints=(cohom.MapRankHint("B->C", 0, 1),),
-    ))
+    )
     chi_a = sum((-1) ** i * x for i, x in enumerate(a))
     assert chi_a + cohom.ABELIAN_SURFACE_TABLE.chi == 1
     for i in range(5):
@@ -182,16 +170,16 @@ def test_les_solution_properties():
 def test_les_requires_exactly_one_unknown():
     t = cohom.CohomTable((1, 0))
     with pytest.raises(InvalidParameterError, match="exactly one slot must be unknown"):
-        cohom.LesProblem(a=t, b=t, c=t)
+        cohom.les_solve(a=t, b=t, c=t)
     with pytest.raises(InvalidParameterError, match="exactly one slot must be unknown"):
-        cohom.LesProblem(a=None, b=None, c=t)
+        cohom.les_solve(a=None, b=None, c=t)
 
 
 def test_les_rejects_tables_of_different_lengths():
     with pytest.raises(InvalidParameterError, match="the known tables must have the same length"):
-        cohom.LesProblem(a=(1, 0), b=None, c=(1, 0, 0))
+        cohom.les_solve(a=(1, 0), b=None, c=(1, 0, 0))
     with pytest.raises(InvalidParameterError, match="the known tables must have the same length"):
-        cohom.LesProblem(a=None, b=cohom.CohomTable((1, 0, 0, 0)), c=(1, None, None))
+        cohom.les_solve(a=None, b=cohom.CohomTable((1, 0, 0, 0)), c=(1, None, None))
 
 
 _KINDS = ("A->B", "B->C", "connecting")
@@ -213,7 +201,7 @@ def _les_problems(draw):
 
 def _solve(slots, hints):
     try:
-        result = cohom.les_solve(cohom.LesProblem(*slots, hints=hints))
+        result = cohom.les_solve(*slots, hints=hints)
     except InconsistentError:
         return ()
     return result.tables if isinstance(result, cohom.Underdetermined) else (result,)
@@ -245,4 +233,4 @@ def test_les_rejects_an_unknown_hint_kind_or_index(problem, kind):
     n = max(len(t) for t in slots if t is not None)
     for bad in (cohom.MapRankHint(kind, 0, 0), cohom.MapRankHint("connecting", n, 0)):
         with pytest.raises(InvalidParameterError):
-            cohom.les_solve(cohom.LesProblem(*slots, hints=hints + (bad,)))
+            cohom.les_solve(*slots, hints=hints + (bad,))

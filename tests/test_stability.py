@@ -69,7 +69,7 @@ def test_slope_is_the_degree_in_the_chow_ring():
         m, n = (rng.randint(1, 2 ** bits) for _ in range(2))
         got = stability.slope_dot((a, b), stability.Polarization(m, n))
         assert got == chow.degree((a * h1 + b * h3) * (m * h1 + n * h3) ** 3), (a, b, m, n)
-        assert type(got.terms.get((), 0)) is int and type(got.constant()) is Fraction
+        assert type(got.constant()) is int
 
 
 def test_slope_dot_makes_no_polynomial_product(monkeypatch):
@@ -83,6 +83,24 @@ def test_slope_dot_makes_no_polynomial_product(monkeypatch):
     for k in range(1000):
         stability.slope_dot((k % 61 - 30, k % 59 - 29), pol)
     assert calls == []
+
+
+def test_slope_answer_builds_no_fraction(monkeypatch):
+    # constant() hands back the int the polynomial holds, so a warm slope
+    # query (as `calc slope` prints it) constructs no Fraction at all
+    pol = stability.Polarization(3, 2)
+    stability.slope_dot((1, 1), pol)  # reads the slope form
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert stability.slope_dot((1, 2), pol).constant() == 2 * 2 * (2 + 3 * 2 * 3)
+    assert ParamPoly.const(7).constant() == 7
+    assert built == []
 
 
 def test_subsheaf_status_cases():
