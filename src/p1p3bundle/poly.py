@@ -103,6 +103,7 @@ class ParamPoly:
         return bool(self.terms)
 
     def is_constant(self):
+        """True when the constant monomial is the only one with a term."""
         return len(self.terms) <= (_ONE in self.terms)
 
     def constant(self):
