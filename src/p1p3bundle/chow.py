@@ -20,12 +20,11 @@ generators.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
 from .errors import DegreeMismatchError, InvalidParameterError, RingMismatchError
-from .poly import _ONE, ParamPoly
+from .poly import _ONE, NUMBERS, ParamPoly
 
 
 def _monomial_name(gens, exps):
@@ -101,7 +100,7 @@ def _scalar(x):
     """x as a coefficient: an int or Fraction as it is, a ParamPoly as its
     number when it is constant; InvalidParameterError for anything else
     (a float is not the rational it shows, and a bool is no number)."""
-    if x.__class__ is int or x.__class__ is Fraction:
+    if x.__class__ in NUMBERS:
         return x
     if isinstance(x, ParamPoly):
         return x.terms.get(_ONE, 0) if x.terms.keys() <= {_ONE} else x
@@ -191,7 +190,7 @@ class GradedClass:
 
     def __eq__(self, other):
         if not isinstance(other, GradedClass):
-            if other.__class__ not in (int, Fraction, ParamPoly):  # a bool is no number
+            if other.__class__ not in NUMBERS and other.__class__ is not ParamPoly:
                 return NotImplemented
             other = GradedClass(self.ring, {self.ring.unit: other})
         return self.ring is other.ring and self.coeffs == other.coeffs

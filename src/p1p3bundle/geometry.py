@@ -15,14 +15,13 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from . import chern, chow, cohom
+from . import chern, chow
 from .errors import InconsistentError, InvalidParameterError, SolverError
 from .poly import ParamPoly, solve_zero_identity
 
 
-# chi(E(a,b)), the Riemann-Roch polynomial the whole Section-5 argument
-# pivots on; stored as a golden constant so an HRR drift becomes a test
-# failure rather than a silent auto-correction
+# chi(E(a,b)) as Eq. (5) states it, a golden constant: claim eq5 checks that
+# HRR of E gives it, so an HRR drift fails there instead of being absorbed
 def rr_polynomial():
     """-6 + 12a + 34/3 b + 6b^2 + 41/3 ab + 2/3 b^3 + 4ab^2 + 1/3 ab^3."""
     a, b = ParamPoly.var("a"), ParamPoly.var("b")
@@ -78,9 +77,9 @@ def double_structure_identity(e):
     """The polynomial in (a, b, x, y, d) that must vanish identically.
 
     Assembles chi(E(a,b)) from the restriction sequences of the double
-    structure Y on Z = Sigma_e, then subtracts the golden Riemann-Roch
-    polynomial.  With (alpha, beta) the embedding of Z, the twist
-    O(p, q), (p, q) = (a + d, b + 2), restricts to Z by the pullback along
+    structure Y on Z = Sigma_e, then subtracts chi(E(a,b)) by HRR of E.
+    With (alpha, beta) the embedding of Z, the twist O(p, q),
+    (p, q) = (a + d, b + 2), restricts to Z by the pullback along
     h1 -> alpha f, h3 -> C0 + beta f, which is q C0 + (alpha p + beta q) f.
     """
     embeddings = {s[0]: s[1:] for s in classify_embeddings(2)}  # e -> (alpha, beta)
@@ -103,7 +102,7 @@ def double_structure_identity(e):
         + chi(p * h1 + q * h3)
         - chi(x * c0 + y * f + twist)
         - chi(twist)
-        - rr_polynomial()
+        - chi_twisted_bundle()
     )
 
 
@@ -157,6 +156,8 @@ def normality_status(a, b):
     when it does not settle normality the h^1 value itself bounds the
     codimension of the restriction map (b=2: a+1, b=1: 2a, b=0: 3(a-1)).
     """
+    from . import cohom  # only the normality claims read a cohomology table
+
     if a < 0 or b < 0:
         raise InvalidParameterError("normality is defined for a, b >= 0")
     h1 = cohom.cohom_sigma0(b - 4, a + b - 2)[1]

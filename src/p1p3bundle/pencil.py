@@ -14,8 +14,8 @@ Cauchy's bound its roots, if it is nonzero, are below 1 + B < 2^b, and:
   rank of P over Q (fraction-free Bareiss elimination on ints), and the
   pointwise rank is the same elimination on the matrix at the point;
 - each 2x2 minor is P_ik*P_jn - P_in*P_jk read back as signed base-2^b
-  digits, exact because its coefficients are at most 2(d+1)H^2 < 2^(b-1)
-  in absolute value; M is symmetric, so 21 of the 36 minors are distinct.
+  digits (`poly`), exact because its coefficients are at most 2(d+1)H^2
+  < 2^(b-1) in absolute value; M is symmetric, so 21 of 36 are distinct.
 
 From the minors of a rank-2 pencil come the rank-1 parameter locus
 (distinct projective roots of their gcd, the root at infinity included:
@@ -27,7 +27,6 @@ Hodge dual of a row pair's minors).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import lcm
@@ -38,7 +37,8 @@ from .errors import (
     RankMismatchError,
     RankTooHighError,
 )
-from .poly import _c_gcd, _c_root_count, _fraction, _int_rank, _pack, _packing_shift
+from .poly import (NUMBERS, _c_gcd, _c_root_count, _fraction, _int_rank, _pack,
+                   _packing_shift, _signed_digits)
 
 # Index pairs a < b of the 2x2 minors and of Plücker coordinates.  The
 # complement of PAIRS[k] is PAIRS[5 - k]; _HODGE_SIGNS[k] is the sign of the
@@ -59,22 +59,6 @@ class WholeLine:
 
 
 WHOLE_LINE = WholeLine()
-
-
-def _signed_digits(v, shift):
-    """The integer coefficient list (lowest first, stripped) whose value at
-    2**shift is v, when every coefficient is below 2**(shift - 1) in
-    absolute value: each digit is the residue of v mod 2**shift nearest 0."""
-    out = []
-    mask, half = (1 << shift) - 1, 1 << (shift - 1)
-    while v:
-        r = v & mask
-        v >>= shift
-        if r >= half:
-            r -= mask + 1
-            v += 1
-        out.append(r)
-    return out
 
 
 def symmetric(upper):
@@ -108,8 +92,8 @@ class QuadricPencil:
             raise InvalidParameterError("pencil entries must be nonempty tuples of one length")
         if any([rows[i][j] != rows[j][i] for i, j in PAIRS]):
             raise InvalidParameterError("pencil matrix must be symmetric")
-        # the ten entries the rank code reads; a float is not the rational it shows
-        if not {c.__class__ for i, j in UPPER for c in rows[i][j]} <= {int, Fraction}:
+        # the ten entries the rank code reads hold exact numbers
+        if not {c.__class__ for i, j in UPPER for c in rows[i][j]}.issubset(NUMBERS):
             raise InvalidParameterError("a pencil coefficient must be an int or a Fraction")
         self.entries = rows
         self.degree = lengths.pop() - 1

@@ -3,12 +3,12 @@
 Sparse multivariate polynomials in named formal parameters over the
 rationals; on integer coefficient lists, a univariate gcd (primitive
 pseudo-remainder sequence), the count of distinct roots it gives, and
-the packing of a polynomial matrix at a point 2**b past every root of
-its minors (Kronecker substitution) for a rank by Bareiss elimination
-on ints; and reduced row echelon form over Q.
+the Kronecker format (a polynomial matrix packed at 2**b past every root
+of its minors, ranked by Bareiss elimination on ints, and a packed value
+read back as signed base-2**b digits); and reduced row echelon form over Q.
 A rational number is an `int` when it is integral and a `Fraction` only
-where it has a denominator; no float ever enters.  Everything here is
-immutable and pure.
+where it has a denominator; `NUMBERS` tests that, so no float or bool
+ever enters.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .errors import InvalidParameterError, SolverError
+
+# The one test of an exact number: its class is in NUMBERS.  A bool (an int
+# subclass) and a float (it shows a rational it does not hold) are not.
+NUMBERS = (int, Fraction)
 
 # A monomial is a tuple of (variable name, exponent) pairs, sorted by name,
 # with all exponents > 0.  The empty tuple is the constant monomial.
@@ -36,7 +40,7 @@ def _mono_degree(mono):
 
 def _require_numbers(assignment):
     """InvalidParameterError unless every value is an int or a Fraction."""
-    if not all(x.__class__ is int or x.__class__ is Fraction for x in assignment.values()):
+    if not all(x.__class__ in NUMBERS for x in assignment.values()):
         raise InvalidParameterError("values must be ints or Fractions: %r" % (assignment,))
 
 
@@ -60,7 +64,7 @@ class ParamPoly:
         self.terms = kept = {}
         for m, c in terms.items():
             if c.__class__ is not int:
-                if c.__class__ is not Fraction:  # a float is not the rational it shows
+                if c.__class__ not in NUMBERS:
                     raise InvalidParameterError("a coefficient must be an int or a Fraction: %r"
                                                 % (c,))
                 if c.denominator == 1:
@@ -150,7 +154,7 @@ class ParamPoly:
         return -self + other
 
     def __mul__(self, other):
-        if other.__class__ is int or other.__class__ is Fraction:  # scales each coefficient
+        if other.__class__ in NUMBERS:  # scales each coefficient
             return ParamPoly({m: c * other for m, c in self.terms.items()})
         other = ParamPoly._coerce(other)
         if other is NotImplemented:
@@ -177,8 +181,9 @@ class ParamPoly:
         return result
 
     def __eq__(self, other):
-        other = ParamPoly._coerce(other)
-        if other is NotImplemented:
+        if other.__class__ in NUMBERS:  # a bool or a float is unequal
+            other = ParamPoly.const(other)
+        elif not isinstance(other, ParamPoly):
             return NotImplemented
         return self.terms == other.terms
 
@@ -373,6 +378,22 @@ def _packing_shift(height, length, order):
     return (factorial(order) * length ** (order - 1) * height ** order + 1).bit_length()
 
 
+def _signed_digits(v, shift):
+    """The integer coefficient list (lowest first, stripped) whose value at
+    2**shift is v, when every coefficient is below 2**(shift - 1) in
+    absolute value: each digit is the residue of v mod 2**shift nearest 0."""
+    out = []
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    while v:
+        r = v & mask
+        v >>= shift
+        if r >= half:
+            r -= mask + 1
+            v += 1
+        out.append(r)
+    return out
+
+
 def _int_rank(rows):
     """Rank over Q of an integer matrix by fraction-free Bareiss elimination
     with row pivoting: each entry below the pivot rows is a minor of the
@@ -401,7 +422,7 @@ def _int_rank(rows):
 
 
 def _fraction(x):
-    if x.__class__ is not int and x.__class__ is not Fraction:  # no float, no bool
+    if x.__class__ not in NUMBERS:
         raise InvalidParameterError("expected an int or a Fraction, got %r" % (x,))
     return Fraction(x)
 

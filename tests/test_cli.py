@@ -496,22 +496,53 @@ def _modules_loaded_by(code, package="p1p3bundle"):
     return {m.partition(".")[2] or m for m in proc.stdout.splitlines()[-1].split()}
 
 
+# The computation modules each cold command loads, one row per claim and
+# per calculator: a module imported where nothing in the command uses it
+# shows here as a changed row.
+_SECTION5 = {"geometry", "chern", "chow", "poly"}  # the intersection numbers, no table
+_LOADS = {
+    "eq5": _SECTION5,
+    "hrr-oracle": {"cohom", "chern", "chow", "poly"},
+    "intro-h1": {"cohom"},
+    "lemma1.3-linear": {"pencil", "poly"},  # the pencil claims build their pencils in code
+    "lemma1.4-family": {"pencil", "poly"},
+    "lemma3.4": {"cohom"},
+    "lemma4.2": {"chern", "chow", "poly"},
+    "lemma5.2": _SECTION5,
+    "lemma5.5": _SECTION5,
+    "lemma6.5-r1": _SECTION5,
+    "lemma6.5-r2": _SECTION5,
+    "lemma6.5-r3": _SECTION5,
+    "prop2.1": {"heisenberg", "chern", "chow", "poly"},
+    "prop2.2": {"heisenberg"},
+    "prop3.1": {"stability", "chern", "chow", "poly"},  # det E comes from c1(E)
+    "prop4.1": {"cohom"},
+    "prop5.3-e0": _SECTION5,
+    "prop5.3-e2": _SECTION5,
+    "prop5.4": _SECTION5,
+    "prop5.6": _SECTION5 | {"cohom"},  # normality reads h^1 on Sigma_0
+    "prop6.1a": _SECTION5 | {"cohom"},
+    "prop6.1b": _SECTION5,
+    "prop6.2b": _SECTION5,
+    "remark3.3": {"stability", "chern", "chow", "poly"},
+    "serre-duality": {"cohom"},
+    "chi": {"chern", "chow", "poly"},
+    "cohom": {"cohom"},
+    "slope": {"stability", "chow", "poly"},
+    "pencil-rank": {"pencilfile", "pencil", "poly"},  # only a file needs its format
+}
+
+
 def test_commands_load_only_the_modules_they_use(tmp_path):
     assert _modules_loaded_by("import p1p3bundle.cli") == {"p1p3bundle", "cli", "claims", "errors"}
+    assert _LOADS.keys() == claims.REGISTRY.keys() | cli._CALC_ARGS.keys()
     f = tmp_path / "pencil.txt"
     _write_pencil(f, "degree 1", ["l"] + ["0"] * 9)
-    for argv, used in [
-        (["verify", "--claim", "prop2.2", "--json"], {"heisenberg"}),
-        (["calc", "cohom", "1", "2"], {"cohom"}),
-        (["verify", "--claim", "intro-h1"], {"cohom"}),
-        (["calc", "slope", "1", "1", "1", "2"], {"stability", "chow", "poly"}),
-        # det E comes from c1(E), so the Section 3 claims load chern
-        (["verify", "--claim", "prop3.1"], {"stability", "chow", "poly", "chern"}),
-        # the pencil claims build their pencils in code; only a file needs its format
-        (["verify", "--claim", "lemma1.3-linear"], {"pencil", "poly"}),
-        (["verify", "--claim", "lemma1.4-family"], {"pencil", "poly"}),
-        (["calc", "pencil-rank", str(f)], {"pencilfile", "pencil", "poly"}),
-    ]:
+    calc_args = {"chi": ["1", "2"], "cohom": ["1", "2"], "slope": ["1", "1", "1", "2"],
+                 "pencil-rank": [str(f)]}
+    for name, used in _LOADS.items():
+        argv = (["calc", name] + calc_args[name] if name in calc_args
+                else ["verify", "--claim", name, "--json"])
         loaded = _modules_loaded_by("from p1p3bundle import cli\nassert cli.main(%r) == 0" % argv)
         assert loaded & _COMPUTATION == used, argv
 

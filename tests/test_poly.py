@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from p1p3bundle.pencilfile import MAX_DEGREE
 from p1p3bundle.errors import InvalidParameterError, SolverError
-from p1p3bundle.pencil import _signed_digits
 from p1p3bundle.poly import (
     ParamPoly,
     _c_gcd,
@@ -16,6 +15,7 @@ from p1p3bundle.poly import (
     _int_rank,
     _pack,
     _packing_shift,
+    _signed_digits,
     rref,
     solve_zero_identity,
 )
@@ -223,6 +223,10 @@ def test_floats_are_rejected():
         with pytest.raises(TypeError):
             entry()
     assert a != 0.5 and ParamPoly.const(1) != 1.0
+    # equality answers a bool as unequal, as it answers a float
+    one = ParamPoly.const(1)
+    assert (a == True, a != False, one == True, True in {one}) == (False, True, False, False)
+    assert one == 1 and not (a == 0.5)
 
 
 def test_rref_returns_fractions_for_int_input():
