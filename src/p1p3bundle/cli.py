@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
@@ -55,6 +54,8 @@ def _run_verify(ids, as_json):
             "elapsed_ms": elapsed_ms,
         })
     if as_json:
+        import json  # only a --json report reads it
+
         report = {"claims": records, "summary": {"pass": n_pass, "fail": n_fail}}
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:

@@ -1,6 +1,8 @@
 """Exact cohomology dimensions of line bundles, as integer tables.
 
-Bott's formula on P^n, Kunneth on products, Serre duality checks, and a
+One Bott table for O(a, b) on P1 x P^n (its one possibly nonzero entry,
+the Kunneth product of Bott's numbers), read on P1xP3 and on
+Sigma_0 = P1xP1, Serre duality checks, and a
 long-exact-sequence dimension solver for short exact sheaf sequences with
 one unknown slot, solved from the one exactness relation at each index.
 Twists are ints; anything else, a bool or a Fraction included, raises
@@ -37,59 +39,36 @@ class CohomTable(tuple):
         return CohomTable(self[::-1])
 
 
-def cohom_pn(n, k):
-    """Bott's formula for O(k) on P^n: cohomology only in degrees 0 and n."""
-    require_ints(n, k)
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    dims = [0] * (n + 1)
-    if k >= 0:
-        dims[0] = comb(n + k, n)
-    if -k - 1 >= n:
-        dims[n] = comb(-k - 1, n)
-    return CohomTable(dims)
-
-
-def kunneth(ta, tb):
-    """h^i of the external tensor product: convolution of the two tables."""
-    n = len(ta) + len(tb) - 2
-    dims = [0] * (n + 1)
-    for p, a in enumerate(ta):
-        if a:
-            for q, b in enumerate(tb):
-                dims[p + q] += a * b
-    return CohomTable(dims)
-
-
-_ZERO_P1XP3 = CohomTable((0, 0, 0, 0, 0))
-
-
-def cohom_p1xp3(a, b):
-    """Cohomology table of O(a, b) on P1xP3, for int a and b.
+def _bott(n, a, b):
+    """Cohomology table of O(a, b) on P1 x P^n, for int a and b.
 
     By Bott, O(a) on P1 has h^0 = a + 1 (a >= 0) or h^1 = -a - 1
-    (a <= -2) and nothing else, and O(b) on P3 has h^0 = C(b + 3, 3)
-    (b >= 0) or h^3 = C(-b - 1, 3) (b <= -4); the table's one possibly
-    nonzero entry is h^(i+j), their product.  It equals
-    kunneth(cohom_pn(1, a), cohom_pn(3, b)), and its entries are
+    (a <= -2) and nothing else, and O(b) on P^n has h^0 = C(b + n, n)
+    (b >= 0) or h^n = C(-b - 1, n) (b <= -n - 1); by Kunneth the table's one
+    possibly nonzero entry is h^(i+j), their product, and its entries are
     nonnegative by construction.
     """
     require_ints(a, b)
+    dims = [0] * (n + 2)
     if a >= 0:
         i, x = 0, a + 1
     elif a <= -2:
         i, x = 1, -a - 1
     else:
-        return _ZERO_P1XP3
+        return tuple.__new__(CohomTable, dims)
     if b >= 0:
-        j, y = 0, comb(b + 3, 3)
-    elif b <= -4:
-        j, y = 3, comb(-b - 1, 3)
+        j, y = 0, comb(b + n, n)
+    elif b <= -n - 1:
+        j, y = n, comb(-b - 1, n)
     else:
-        return _ZERO_P1XP3
-    dims = [0, 0, 0, 0, 0]
+        return tuple.__new__(CohomTable, dims)
     dims[i + j] = x * y
     return tuple.__new__(CohomTable, dims)
+
+
+def cohom_p1xp3(a, b):
+    """Cohomology table of O(a, b) on P1xP3, for int a and b."""
+    return _bott(3, a, b)
 
 
 def serre_dual_check(a, b):
@@ -103,9 +82,8 @@ def intro_h1(a, b):
 
 
 def cohom_sigma0(alpha, beta):
-    """Cohomology of O(alpha C0 + beta f) on Sigma_0 = P1xP1 via Kunneth."""
-    require_ints(alpha, beta)
-    return kunneth(cohom_pn(1, alpha), cohom_pn(1, beta))
+    """Cohomology table of O(alpha C0 + beta f) on Sigma_0 = P1xP1."""
+    return _bott(1, alpha, beta)
 
 
 # -- long exact sequence solver -------------------------------------------------

@@ -124,21 +124,33 @@ def subbundle_embeds(line_degree, summand_degrees):
     return line_degree <= max(summand_degrees)
 
 
+def _normal_splittings(e):
+    """The splitting types (k, n - k), k <= n - k, that N_Z restricted to the
+    section C0 of Z = Sigma_e can have.
+
+    C0 is P1 x {point} in P1xP3, so N_{C0/P1xP3} = O^3, and its subbundle
+    N_{C0/Z} = O(C0^2) leaves N_Z|C0 a globally generated quotient of rank 2
+    and degree n = -C0^2: each summand has degree >= 0.
+    """
+    c0 = chow.sigma(e).gen("C0")
+    n = -chow.degree(c0 * c0).constant()
+    return [(k, n - k) for k in range(n // 2 + 1)]
+
+
 def prop54_obstruction():
     """True iff the e = 2 double structure is obstructed.
 
     The ideal line bundle's inverse restricted to the (-2)-section has
     degree -(x C0 + y f).C0 in Sigma_2; a degree-4 line bundle on P1 cannot
-    embed into O + O(2) or O(1) + O(1).
+    embed into any splitting of N_Z|C0, O + O(2) or O(1) + O(1).
     """
     sol = double_structure_solve(2)
     ring = chow.sigma(2)
     c0, f = ring.gen("C0"), ring.gen("f")
     ideal_class = sol.x * c0 + sol.y * f
     restricted_degree = chow.degree(-(ideal_class * c0)).constant()
-    candidates = [(0, 2), (1, 1)]
     return restricted_degree == 4 and not any(
-        subbundle_embeds(restricted_degree, c) for c in candidates
+        subbundle_embeds(restricted_degree, c) for c in _normal_splittings(2)
     )
 
 

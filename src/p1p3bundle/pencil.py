@@ -37,7 +37,7 @@ from .errors import (
     RankMismatchError,
     RankTooHighError,
 )
-from .poly import (NUMBERS, _c_gcd, _c_root_count, _fraction, _int_rank, _pack,
+from .poly import (NUMBERS, _bareiss, _c_gcd, _c_root_count, _fraction, _pack,
                    _packing_shift, _signed_digits)
 
 # Index pairs a < b of the 2x2 minors and of Plücker coordinates.  The
@@ -164,7 +164,7 @@ class QuadricPencil:
 
     @cached_property
     def _rank(self):
-        return _int_rank(self._packed[0])
+        return _bareiss(self._packed[0])[0]
 
     @cached_property
     def _minors(self):
@@ -199,8 +199,8 @@ class QuadricPencil:
         scale = lcm(l0.denominator, m0.denominator)
         a, b = int(l0 * scale), int(m0 * scale)
         d = self.degree
-        return _int_rank([[sum(c * a ** i * b ** (d - i) for i, c in enumerate(f)) for f in row]
-                          for row in self._z_matrix])
+        return _bareiss([[sum(c * a ** i * b ** (d - i) for i, c in enumerate(f)) for f in row]
+                         for row in self._z_matrix])[0]
 
     def rank1_parameter_count(self):
         """Number of parameter points where the rank drops to <= 1.

@@ -1,11 +1,13 @@
 """Exact-arithmetic foundation.
 
 Sparse multivariate polynomials in named formal parameters over the
-rationals; on integer coefficient lists, a univariate gcd (primitive
-pseudo-remainder sequence), the count of distinct roots it gives, and
-the Kronecker format (a polynomial matrix packed at 2**b past every root
-of its minors, ranked by Bareiss elimination on ints, and a packed value
-read back as signed base-2**b digits); and reduced row echelon form over Q.
+rationals, and the solver of a polynomial identity for its unknowns; on
+integer coefficient lists, a univariate gcd (primitive pseudo-remainder
+sequence), the count of distinct roots it gives, and the Kronecker format
+(a polynomial matrix packed at 2**b past every root of its minors, and a
+packed value read back as signed base-2**b digits); and the one
+elimination, fraction-free Bareiss on integer matrices, which gives a
+pencil's ranks and the solver's echelon rows.
 A rational number is an `int` when it is integral and a `Fraction` only
 where it has a denominator; `NUMBERS` tests that, so no float or bool
 ever enters.  Everything here is immutable and pure.
@@ -14,7 +16,7 @@ ever enters.  Everything here is immutable and pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .errors import InvalidParameterError, SolverError
 
@@ -42,6 +44,12 @@ def _require_numbers(assignment):
     """InvalidParameterError unless every value is an int or a Fraction."""
     if not all(x.__class__ in NUMBERS for x in assignment.values()):
         raise InvalidParameterError("values must be ints or Fractions: %r" % (assignment,))
+
+
+def _fraction(x):
+    if x.__class__ not in NUMBERS:
+        raise InvalidParameterError("expected an int or a Fraction, got %r" % (x,))
+    return Fraction(x)
 
 
 class ParamPoly:
@@ -282,27 +290,42 @@ def solve_zero_identity(identity, unknowns):
     """[assignment] of `unknowns` making `identity` vanish, unique over Q.
 
     By exact elimination: the coefficients of the identity in its free
-    variables (those not in `unknowns`) must all vanish.  Each round
-    row-reduces the ones of degree <= 1 in the unknowns, fixes every unknown
-    whose pivot row involves no other, and substitutes it everywhere.
+    variables (those not in `unknowns`) must all vanish.  Each round takes
+    the ones of degree <= 1 in the unknowns, each scaled by the lcm of its
+    denominators to an integer row, brings them to echelon form by Bareiss
+    elimination and clears the columns above the pivots, fixes every unknown
+    whose row involves no other, and substitutes it everywhere.
     SolverError if the system is inconsistent, a round fixes nothing
-    (underdetermined or not triangular), or the Fraction-valued solution
-    does not re-substitute to zero.
+    (underdetermined or not triangular), or the solution does not
+    re-substitute to zero.
     """
     unknowns = tuple(unknowns)
     equations = identity.collect(set(identity.variables()) - set(unknowns)).values()
     solution = {}
     while len(solution) < len(unknowns):
         open_ = [u for u in unknowns if u not in solution]
-        rows = [[eq.coefficient(((u, 1),)) for u in open_] + [-eq.coefficient(_ONE)]
-                for eq in equations if eq.total_degree() <= 1]
-        _, pivots, reduced = rref(rows)
+        rows = []
+        for eq in equations:
+            if eq.total_degree() <= 1:
+                row = [eq.coefficient(((u, 1),)) for u in open_] + [-eq.coefficient(_ONE)]
+                scale = lcm(*[x.denominator for x in row])
+                rows.append([x.numerator * (scale // x.denominator) for x in row])
+        rank, pivots, echelon = _bareiss(rows)
+        # clear each pivot's column above it as well, on ints, so that a row
+        # is free of the other open unknowns exactly when its reduced row
+        # over Q is
+        for i in range(rank - 1, 0, -1):
+            low, lead = echelon[i], echelon[i][pivots[i]]
+            for row in echelon[:i]:
+                f = row[pivots[i]]
+                if f:
+                    row[:] = [lead * x - f * y for x, y in zip(row, low)]
         fixed = {}
-        for row, col in zip(reduced, pivots):
+        for row, col in zip(echelon, pivots):
             if col == len(open_):
                 raise SolverError("inconsistent linear equations in %s" % open_)
-            if not any(row[j] for j in range(len(open_)) if j != col):
-                fixed[open_[col]] = row[-1]
+            if not any(row[col + 1:-1]):
+                fixed[open_[col]] = Fraction(row[-1], row[col])
         if not fixed:
             raise SolverError("cannot fix any of %s: underdetermined or not triangular" % open_)
         solution.update(fixed)
@@ -394,12 +417,15 @@ def _signed_digits(v, shift):
     return out
 
 
-def _int_rank(rows):
-    """Rank over Q of an integer matrix by fraction-free Bareiss elimination
-    with row pivoting: each entry below the pivot rows is a minor of the
-    input, so each division by the previous pivot is exact (and checked)."""
+def _bareiss(rows):
+    """(rank, pivot columns, echelon rows) over Q of an integer matrix, by
+    fraction-free Bareiss elimination with row pivoting: each entry below the
+    pivot rows is a minor of the input, so each division by the previous
+    pivot is exact (and checked), and the rows stay integers.  The input is
+    not touched; the rows returned are a copy in row echelon form."""
     m = [list(r) for r in rows]
     ncols = len(m[0]) if m else 0
+    pivots = []
     prev, r = 1, 0
     for c in range(ncols):
         pr = next((i for i in range(r, len(m)) if m[i][c]), None)
@@ -408,51 +434,12 @@ def _int_rank(rows):
         m[r], m[pr] = m[pr], m[r]
         pivot, top = m[r][c], m[r]
         for row in m[r + 1:]:
-            f = row[c]
+            f, row[c] = row[c], 0
             for j in range(c + 1, ncols):
                 row[j], rem = divmod(pivot * row[j] - f * top[j], prev)
                 if rem:
                     raise InvalidParameterError("inexact division in Bareiss elimination")
-        prev = pivot
-        r += 1
-    return r
-
-
-# -- exact linear algebra ------------------------------------------------------
-
-
-def _fraction(x):
-    if x.__class__ not in NUMBERS:
-        raise InvalidParameterError("expected an int or a Fraction, got %r" % (x,))
-    return Fraction(x)
-
-
-def rref(rows):
-    """Reduced row echelon form over Q; returns (rank, pivot columns, rows).
-
-    Entries may be ints or Fractions; each is made a Fraction once on entry
-    (with int entries `/` would give floats), so the rows returned hold
-    Fractions.  Anything else, a float or a bool included, raises
-    InvalidParameterError.
-    """
-    m = [[_fraction(x) for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
+        prev = pivot
         r += 1
     return r, pivots, m

@@ -547,6 +547,17 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
         assert loaded & _COMPUTATION == used, argv
 
 
+def test_only_a_json_report_loads_json(tmp_path):
+    # the text report, the listing and each calculator write no JSON
+    f = tmp_path / "pencil.txt"
+    _write_pencil(f, "degree 1", ["l"] + ["0"] * 9)
+    code = "from p1p3bundle import cli\nassert cli.main(%r) == 0"
+    for argv in (["verify"], ["list"], ["calc", "chi", "1", "2"], ["calc", "cohom", "1", "2"],
+                 ["calc", "slope", "1", "1", "1", "2"], ["calc", "pencil-rank", str(f)]):
+        assert _modules_loaded_by(code % argv, "json") == set(), argv
+    assert "json" in _modules_loaded_by(code % ["verify", "--claim", "eq5", "--json"], "json")
+
+
 def test_verify_compiles_no_pencil_pattern():
     # the pencil patterns are compiled when `pencilfile` is imported, which
     # only a pencil file does: a cold verify of every claim compiles none

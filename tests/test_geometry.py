@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from p1p3bundle import chern, chow, claims, geometry
+from p1p3bundle import chern, chow, claims, cohom, geometry
 from p1p3bundle.errors import InconsistentError, InvalidParameterError
-from p1p3bundle.poly import ParamPoly
+from p1p3bundle.poly import ParamPoly, solve_zero_identity
 
 
 def test_rr_polynomial_matches_hrr():
@@ -49,6 +49,27 @@ def test_rr_polynomial_matches_sympy_hrr():
     integrand = sympy.Poly(sympy.expand(ch_e * twist * todd), h1, h3)
     chi = integrand.coeff_monomial(h1 * h3 ** 3)
     assert sympy.expand(_to_sympy(sympy, geometry.rr_polynomial()) - chi) == 0
+
+
+def test_chi_of_e_by_the_serre_sequence():
+    # A second route to chi(E(a,b)), with no Todd class of P1xP3 and no
+    # Chern character: the Serre sequence 0 -> O -> E -> I_X(P, Q) -> 0 of
+    # the abelian surface X, [X] = c2(E), c1(E) = P h1 + Q h3, gives
+    # chi(E(a,b)) = chi(O(a,b)) + chi(O(a+P, b+Q)) - chi(O_X(L)) with
+    # L = (a+P) h1 + (b+Q) h3, and Riemann-Roch on X (K_X = 0) gives
+    # chi(O_X(L)) = chi(O_X) + L^2.[X] / 2.  On P1xP3, chi(O(x, y)) is the
+    # product of the Hilbert polynomials of P1 and P3.
+    e = chern.abelian_surface_bundle()
+    h1, h3 = chow.p1xp3().gen("h1"), chow.p1xp3().gen("h3")
+    P, Q = (e.c1.coeff(g).constant() for g in ("h1", "h3"))
+    a, b = ParamPoly.var("a"), ParamPoly.var("b")
+
+    def chi_line(x, y):
+        return (x + 1) * (y + 1) * (y + 2) * (y + 3) * Fraction(1, 6)
+
+    line = (a + P) * h1 + (b + Q) * h3
+    chi_x = cohom.ABELIAN_SURFACE_TABLE.chi + chow.degree(line * line * e.c2) * Fraction(1, 2)
+    assert chi_line(a, b) + chi_line(a + P, b + Q) - chi_x == geometry.chi_twisted_bundle()
 
 
 def test_rr_polynomial_spot_values():
@@ -111,6 +132,31 @@ def test_double_structure_resubstitution():
 
 def test_prop54_obstruction():
     assert geometry.prop54_obstruction() is True
+
+
+def test_normal_splittings_come_from_the_section_squared():
+    # N_Z|C0 has degree -C0^2: 2 on Sigma_2, 0 on Sigma_0
+    assert geometry._normal_splittings(2) == [(0, 2), (1, 1)]
+    assert geometry._normal_splittings(0) == [(0, 0)]
+
+
+def test_section5_solve_builds_few_fractions(monkeypatch):
+    # each linear equation is scaled to integers once and eliminated on
+    # ints, so the Fractions are the substituted coefficients and one
+    # quotient per fixed unknown: 116 on CPython 3.11, where the elimination
+    # over Q built 204 (later CPythons build fewer through Fraction.__new__)
+    identities = [geometry.double_structure_identity(e) for e in (0, 2)]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    solutions = [solve_zero_identity(identity, ("x", "y", "d")) for identity in identities]
+    assert solutions == [[{"x": 2, "y": -2, "d": 4}], [{"x": 2, "y": 0, "d": 4}]]
+    assert 0 < len(built) <= 116
 
 
 def test_subbundle_degree_criterion():

@@ -14,7 +14,9 @@ from p1p3bundle.errors import (
     RankTooHighError,
 )
 from p1p3bundle.pencil import WHOLE_LINE, QuadricPencil, WholeLine
-from p1p3bundle.poly import ParamPoly, rref
+from p1p3bundle.poly import ParamPoly
+
+from oracles import rref
 
 L = ParamPoly.var("l")
 M = ParamPoly.var("m")
@@ -257,16 +259,16 @@ def test_rank_is_computed_once_per_pencil(monkeypatch):
     eliminations = []
     minors = []
 
-    def counting_rank(rows):
+    def counting_bareiss(rows):
         eliminations.append(rows)
-        return real_rank(rows)
+        return real_bareiss(rows)
 
     def counting_digits(v, shift):
         minors.append(v)
         return real_digits(v, shift)
 
-    real_rank, real_digits = pencil._int_rank, pencil._signed_digits
-    monkeypatch.setattr(pencil, "_int_rank", counting_rank)
+    real_bareiss, real_digits = pencil._bareiss, pencil._signed_digits
+    monkeypatch.setattr(pencil, "_bareiss", counting_bareiss)
     monkeypatch.setattr(pencil, "_signed_digits", counting_digits)
     p = QuadricPencil.degree4_witness()
     assert p.generic_rank() == 2

@@ -10,15 +10,16 @@ from p1p3bundle.pencilfile import MAX_DEGREE
 from p1p3bundle.errors import InvalidParameterError, SolverError
 from p1p3bundle.poly import (
     ParamPoly,
+    _bareiss,
     _c_gcd,
     _c_root_count,
-    _int_rank,
     _pack,
     _packing_shift,
     _signed_digits,
-    rref,
     solve_zero_identity,
 )
+
+from oracles import rref
 
 
 def test_basic_arithmetic():
@@ -99,6 +100,15 @@ def test_solve_zero_identity_triangular_needs_two_rounds():
     # x*y - 6 is nonlinear until x = 3 is substituted
     identity = (x - 3) * a + (x * y - 6) * b
     assert solve_zero_identity(identity, ("x", "y")) == [{"x": 3, "y": 2}]
+
+
+def test_solve_zero_identity_fixes_an_unknown_pinned_beside_a_free_pair():
+    # x + y + z = 1 and y + z = 0 pin x = 1 though y and z stay open; only
+    # then is x*y - 2 linear, and it pins y
+    a, b, c = ParamPoly.var("a"), ParamPoly.var("b"), ParamPoly.var("c")
+    x, y, z = ParamPoly.var("x"), ParamPoly.var("y"), ParamPoly.var("z")
+    identity = (x + y + z - 1) * a + (y + z) * b + (x * y - 2) * c
+    assert solve_zero_identity(identity, ("x", "y", "z")) == [{"x": 1, "y": 2, "z": -2}]
 
 
 _a, _b = ParamPoly.var("a"), ParamPoly.var("b")
@@ -211,10 +221,9 @@ def test_floats_are_rejected():
     for entry in (lambda: ParamPoly.const(0.5), lambda: ParamPoly.const(0.0),
                   lambda: ParamPoly({(): 0.5}), lambda: ParamPoly({(): "1/2"}),
                   lambda: a.subs({"a": 0.5}), lambda: a.value({"a": 0.5}),
-                  lambda: rref([[1, 0.5]]),
                   # a bool is no number either
                   lambda: ParamPoly.const(True), lambda: ParamPoly({(): False}),
-                  lambda: a.subs({"a": True}), lambda: rref([[1, True]]),
+                  lambda: a.subs({"a": True}),
                   lambda: a * True, lambda: True * a, lambda: a.value({"a": True}),
                   lambda: a ** True):
         with pytest.raises(InvalidParameterError):
@@ -227,6 +236,9 @@ def test_floats_are_rejected():
     one = ParamPoly.const(1)
     assert (a == True, a != False, one == True, True in {one}) == (False, True, False, False)
     assert one == 1 and not (a == 0.5)
+
+
+# rref is the tests' reference elimination over Q (tests/oracles.py)
 
 
 def test_rref_returns_fractions_for_int_input():
@@ -283,7 +295,7 @@ def _packed_rank(matrix):
     length = max([len(e) for e in entries] + [1])
     order = min(len(matrix), len(matrix[0]) if matrix else 0)
     shift = _packing_shift(height, length, order)
-    return _int_rank([[_pack(e, shift) for e in row] for row in matrix])
+    return _bareiss([[_pack(e, shift) for e in row] for row in matrix])[0]
 
 
 @st.composite
@@ -359,7 +371,7 @@ def test_bareiss_rank_at_a_minor_root_below_the_bound(t):
     # drop on one of them
     for matrix, rank, root in _root_matrices(t):
         shift = _packing_shift(2 ** t, 2, len(matrix))
-        assert _int_rank([[_pack(e, shift) for e in row] for row in matrix]) == rank
+        assert _bareiss([[_pack(e, shift) for e in row] for row in matrix])[0] == rank
         at_root = [[sum(c * root ** k for k, c in enumerate(e)) for e in row] for row in matrix]
         assert rref(at_root)[0] == rank - 1
 
@@ -368,10 +380,28 @@ def test_bareiss_rank_does_not_touch_its_input():
     # a pencil eliminates its cached packed matrix and then reads its minors
     matrix = [[0, 2, 4], [0, 1, 2], [3, 0, 1]]
     copy = [list(row) for row in matrix]
-    assert _int_rank(matrix) == 2
+    assert _bareiss(matrix) == (2, [0, 1], [[3, 0, 1], [0, 3, 6], [0, 0, 0]])
     assert matrix == copy
-    assert _int_rank([]) == 0
-    assert _int_rank([[0, 0]]) == 0
+    assert _bareiss([]) == (0, [], [])
+    assert _bareiss([[0, 0]]) == (0, [], [[0, 0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=1, max_size=4)
+       .flatmap(lambda rows: st.lists(st.sampled_from(rows), min_size=1, max_size=5)))
+@example([[2, 1, 0, 0, 0], [4, 4, 0, 0, 0]])
+@example([[1, 2, 3, 0, 0], [2, 4, 6, 0, 0], [0, 1, 1, 0, 0]])
+def test_bareiss_echelon_rows_have_the_row_space_of_the_input(rows):
+    # rows drawn with repeats, so deficient ranks are common; the reduced
+    # row echelon form over Q is that of the row space, so the integer
+    # echelon rows reduce to the input's own
+    rank, pivots, echelon = _bareiss(rows)
+    want = rref(rows)
+    assert (rank, pivots) == want[:2] and rref(echelon) == want
+    assert all(x.__class__ is int for row in echelon for x in row)
+    for i, row in enumerate(echelon):
+        first = next((j for j, x in enumerate(row) if x), None)
+        assert first == (pivots[i] if i < rank else None)
 
 
 @settings(max_examples=100, deadline=None)
