@@ -47,25 +47,25 @@ def test_kunneth_examples():
 _WIDE = [10 ** 30, -10 ** 30, 10 ** 30 + 7, -10 ** 30 - 7]
 
 
-def _twists(edges):
-    """A square grid about the origin, and wide twists on each side of the
-    vanishing range of each factor (`edges`: a few twists of the second
-    factor around its gap)."""
+def _twists(gap_end):
+    """The grid [-40, 40]^2, and 31-digit twists paired with each other and
+    with small twists around each factor's vanishing range, which on P^n
+    ends at `gap_end` = -n - 1."""
     points = [(a, b) for a in range(-40, 41) for b in range(-40, 41)]
-    points += [(a, b) for a in _WIDE for b in _WIDE + [0, -1, 5] + edges]
+    points += [(a, b) for a in _WIDE for b in _WIDE + [0, -1, gap_end, 5]]
     points += [(a, b) for a in [0, -1, -2, 5] for b in _WIDE]
     return points
 
 
 def test_cohom_p1xp3_is_the_kunneth_product_of_bott_tables():
-    for a, b in _twists([-4]):
+    for a, b in _twists(-4):
         table = cohom.cohom_p1xp3(a, b)
         assert type(table) is cohom.CohomTable
         assert table == kunneth(cohom_pn(1, a), cohom_pn(3, b)), (a, b)
 
 
 def test_cohom_sigma0_is_the_kunneth_product_of_bott_tables():
-    for a, b in _twists([-2]):
+    for a, b in _twists(-2):
         table = cohom.cohom_sigma0(a, b)
         assert type(table) is cohom.CohomTable
         assert table == kunneth(cohom_pn(1, a), cohom_pn(1, b)), (a, b)
